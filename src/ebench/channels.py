@@ -10,6 +10,7 @@ then returns an unnormalized output with trace <= tr(rho).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,10 @@ from .fock import DensityOperator, FockSpace, StateVector, coherent_ket
 from .quadrature import QuadratureGrid
 
 TP_TOL = 1e-9
+
+# LRU bound on each memoised per-dimension constant (arrays read-only): every
+# class k of every d <= 8 fits, and a sweep over d keeps the latest entries.
+_MEMO_SIZE = 32
 
 
 class Channel:
@@ -295,16 +300,25 @@ def qudit_depolarizing(d: int, p: float) -> KrausChannel:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if d < 2:
         raise ValueError("d must be >= 2")
-    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    x = np.roll(np.eye(d), 1, axis=0)
     ops = [math.sqrt(1.0 - p) * np.eye(d, dtype=complex)]
     if p > 0:
         root = math.sqrt(p) / d
-        for a in range(d):
-            xa = np.linalg.matrix_power(x, a)
-            for b in range(d):
-                ops.append(root * (xa @ np.linalg.matrix_power(z, b)))
+        ops += [root * w for w in _weyl_operators(d)]
     return KrausChannel(ops, name=f"depolarizing(d={d},p={p})")
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _weyl_operators(d: int) -> tuple[np.ndarray, ...]:
+    """X^a Z^b for a, b in 0..d-1, in that order."""
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    x = np.roll(np.eye(d), 1, axis=0)
+    ops = []
+    for a in range(d):
+        xa = np.linalg.matrix_power(x, a)
+        for b in range(d):
+            ops.append(xa @ np.linalg.matrix_power(z, b))
+            ops[-1].setflags(write=False)
+    return tuple(ops)
 
 
 def z_measure_prepare(d: int) -> KrausChannel:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -606,6 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     raw = {}
     if getattr(args, "config", None):
@@ -657,8 +664,7 @@ def _emit(text: str, path: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.mode == "selftest":
         _, failed = selftest(args.seed)
         return EXIT_OK if failed == 0 else 1

@@ -14,12 +14,13 @@ rank k+1 or higher; k = 1 is the entanglement-breaking class.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel
+from .channels import _MEMO_SIZE, Channel
 from .fock import DensityOperator, Space, StateVector, max_entangled_ket
 from .witness import QuditPairsWitness, pairs_conversion
 
@@ -57,6 +58,11 @@ class GeneralizedPauli:
 
 def gen_pauli(d: int) -> GeneralizedPauli:
     """Generalized Pauli pair with construction-time invariant checks."""
+    return _gen_pauli(d)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _gen_pauli(d: int) -> GeneralizedPauli:
     sys = QuditSystem(d)
     z = np.diag(np.exp(1j * sys.omega * np.arange(d)))
     x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
@@ -67,6 +73,8 @@ def gen_pauli(d: int) -> GeneralizedPauli:
     comm = x @ z - np.exp(-1j * sys.omega) * (z @ x)
     if np.max(np.abs(comm)) > 1e-12 * d:
         raise AssertionError("XZ != e^{-i omega} ZX beyond tolerance")
+    z.setflags(write=False)
+    x.setflags(write=False)
     return GeneralizedPauli(d=d, Z=z, X=x)
 
 
@@ -77,10 +85,18 @@ def mub_bases(d: int) -> tuple[np.ndarray, np.ndarray]:
     the second array is |l_bar> = Z^l (d^{-1/2} sum_j |j>), an eigenvector of X
     with eigenvalue e^{-i omega l}.
     """
+    return _mub_bases(d)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _mub_bases(d: int) -> tuple[np.ndarray, np.ndarray]:
     QuditSystem(d)
     j = np.arange(d)
     fourier = np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
-    return np.eye(d, dtype=complex), fourier
+    comp = np.eye(d, dtype=complex)
+    comp.setflags(write=False)
+    fourier.setflags(write=False)
+    return comp, fourier
 
 
 def g_value(k: int, d: int) -> float:
@@ -115,17 +131,25 @@ def schmidt_witness_pairs(k: int, d: int) -> QuditPairsWitness:
     parts of Z (diagonal in the computational basis), and the X block likewise
     in the Fourier basis, so every B-side factor is Hermitian as required.
     """
+    return _schmidt_witness_pairs(k, d)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _schmidt_witness_pairs(k: int, d: int) -> QuditPairsWitness:
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must lie in [1, {d - 1}], got {k}")
     p = gen_pauli(d)
     cz, sz = 0.5 * (p.Z + p.Z.conj().T), -0.5j * (p.Z - p.Z.conj().T)
     cx, sx = 0.5 * (p.X + p.X.conj().T), -0.5j * (p.X - p.X.conj().T)
     eye = np.eye(d, dtype=complex)
-    return QuditPairsWitness([
+    w = QuditPairsWitness([
         (g_value(k, d) * eye, eye),
         (-cz, cz), (-sz, sz),
         (-cx, cx), (sx, sx),
     ])
+    for mat in (m for pair in w.pairs for m in pair):
+        mat.setflags(write=False)
+    return w
 
 
 def max_entangled_state(d: int, labels=("A", "B")) -> StateVector:

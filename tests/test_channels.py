@@ -1,9 +1,11 @@
 """Channel zoo, Kraus completeness, and Choi-state construction."""
 
+import math
+
 import numpy as np
 import pytest
 
-from ebench.channels import (ChoiFormChannel, build_channel, choi_state,
+from ebench.channels import (ChoiFormChannel, _weyl_operators, build_channel, choi_state,
                              filter_scale, heterodyne_mp, identity_channel,
                              kraus_completeness, kraus_explicit,
                              parse_channel_spec, pure_loss, qudit_depolarizing,
@@ -80,6 +82,26 @@ class TestZoo:
         out = ch.apply(DensityOperator(rho, Space("q", 3)))
         want = 0.65 * rho + 0.35 * np.eye(3) / 3
         assert np.max(np.abs(out.matrix - want)) < 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_depolarizing_kraus_equal_weyl_formula(self, d):
+        p = 0.37
+        z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+        x = np.roll(np.eye(d), 1, axis=0)
+        want = [math.sqrt(1.0 - p) * np.eye(d, dtype=complex)]
+        for a in range(d):
+            xa = np.linalg.matrix_power(x, a)
+            for b in range(d):
+                want.append(math.sqrt(p) / d * (xa @ np.linalg.matrix_power(z, b)))
+        for _ in range(2):                   # built, then from the memo
+            got = qudit_depolarizing(d, p).kraus
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_weyl_operators_raise_on_write(self):
+        for op in _weyl_operators(3):
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 0] = 1.0
 
     def test_z_measure_prepare_dephases(self):
         plus = np.full((2, 2), 0.5, dtype=complex)

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from ebench import cli
 from ebench.cli import (ConfigError, SWEEP_COLUMNS, main, parse_config,
                         parse_witness, run, sweep, sweep_csv, _validate)
 
@@ -340,6 +342,37 @@ class TestMainExitCodes:
         proc = subprocess.run([sys.executable, "-m", "ebench.cli", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+def mask_wall_time(out: str) -> str:
+    return re.sub(r'("wall_time_s": )[^,\n}]+', r"\1<masked>", out)
+
+
+class TestParserReuse:
+    ARGV = ["dv", "--d", "3", "--k", "1", "--channel", "depolarizing:0.6"]
+
+    def test_parser_built_once_across_calls(self, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for _ in range(20):
+            assert main(self.ARGV) == 0
+        assert len(built) == 1
+
+    def test_rejected_flag_then_valid_call(self, capsys):
+        assert main(self.ARGV) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["dv", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(self.ARGV) == 0
+        assert mask_wall_time(capsys.readouterr().out) == mask_wall_time(first)
 
 
 class TestSelftest:

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from ebench.channels import (choi_state, filter_scale, identity_channel,
+from ebench.channels import (_MEMO_SIZE, choi_state, filter_scale, identity_channel,
                              kraus_explicit, qudit_depolarizing, rank_k_random,
                              x_measure_prepare, z_measure_prepare)
-from ebench.dv import (finite_dim_conversion, g_value, gen_pauli,
+from ebench.dv import (_gen_pauli, finite_dim_conversion, g_value, gen_pauli,
                        max_entangled_state, mub_bases, schmidt_benchmark,
                        schmidt_witness_matrix, schmidt_witness_pairs)
 from ebench.witness import choi_witness_expectation
@@ -36,6 +36,25 @@ class TestGenPauli:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             gen_pauli(1)
+
+
+class TestMemoisedConstants:
+    def test_arrays_raise_on_write(self):
+        p = gen_pauli(3)
+        pairs = schmidt_witness_pairs(1, 3).pairs
+        for a in (p.Z, p.X, *mub_bases(3), *(m for pair in pairs for m in pair)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+
+    def test_repeat_calls_share_one_result(self):
+        assert gen_pauli(4) is gen_pauli(4)
+        assert mub_bases(4) is mub_bases(4)
+        assert schmidt_witness_pairs(2, 4) is schmidt_witness_pairs(2, 4)
+
+    def test_cache_is_bounded(self):
+        for d in range(2, 2 + 2 * _MEMO_SIZE):
+            gen_pauli(d)
+        assert _gen_pauli.cache_info().currsize == _MEMO_SIZE
 
 
 class TestMub:
