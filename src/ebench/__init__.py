@@ -9,9 +9,10 @@ Choi-state expectations.
 __version__ = "0.1.0"
 
 from .fock import (DensityOperator, FockSpace, ModeOperator, Operator, Space,
-                   StateVector, basis_ket, coherent_ket, expectation,
-                   max_entangled_ket, mode_operators, number_operator,
-                   partial_trace, suggest_cutoff, tensor, two_mode_squeezed_ket)
+                   StateVector, basis_ket, coherent_ket, coherent_kets,
+                   expectation, max_entangled_ket, mode_operators,
+                   number_operator, partial_trace, suggest_cutoff, tensor,
+                   two_mode_squeezed_ket)
 from .quadrature import QuadratureGrid
 from .channels import (Channel, ChannelSpec, ChoiFormChannel, ChoiState,
                        KrausChannel, MeasurePrepareChannel, build_channel,
@@ -22,10 +23,10 @@ from .channels import (Channel, ChannelSpec, ChoiFormChannel, ChoiState,
                        z_measure_prepare)
 from .witness import (CoherentIntegralWitness, ConsistencyReport, EBValue,
                       EnsembleMember, EvaluationError, InputEnsemble,
-                      NonlinearCondition, QuditPairsWitness, TermsWitness,
-                      WitnessTerm, antinormal_reorder, choi_witness_expectation,
-                      consistency_check, eb_value, ensemble_from_state,
-                      nonlinear_eb_value, witness_symbol)
+                      KetEnsemble, NonlinearCondition, QuditPairsWitness,
+                      TermsWitness, WitnessTerm, antinormal_reorder,
+                      choi_witness_expectation, consistency_check, eb_value,
+                      ensemble_from_state, nonlinear_eb_value, witness_symbol)
 from .cv import (FidelityBenchReport, GaussianBenchParams, benchmark_threshold,
                  fidelity_benchmark, fidelity_witness, gaussian_coherent_ensemble,
                  optimal_heterodyne_gain, witness14_matrix)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, FockSpace, StateVector, coherent_ket
+from .fock import DensityOperator, FockSpace, StateVector, coherent_kets
 from .quadrature import QuadratureGrid
 
 TP_TOL = 1e-9
@@ -276,13 +276,13 @@ def heterodyne_mp(gain: float, space: FockSpace,
         raise ValueError(f"gain must be >= 0, got {gain}")
     if grid is None:
         grid = QuadratureGrid.gauss_laguerre(1.0 + gain * gain, radial, angular)
-    measure = np.stack([coherent_ket(b, space).amplitudes for b in grid.nodes])
-    prep_raw = [coherent_ket(gain * b, space) for b in grid.nodes]
-    norms = np.array([p.norm for p in prep_raw])
+    measure, _ = coherent_kets(grid.nodes, space)
+    prep, _ = coherent_kets([gain * b for b in grid.nodes], space)
+    norms = np.array([np.linalg.norm(p) for p in prep])
     # far-tail nodes whose re-prepared ket is wiped out by truncation carry
     # only exponentially small measurement probability; drop them outright
     keep = norms > 1e-12
-    prep = np.stack([p.amplitudes for p in prep_raw])[keep] / norms[keep, None]
+    prep = prep[keep] / norms[keep, None]
     meta = dict(grid.metadata(), dropped_nodes=int(np.sum(~keep)))
     return MeasurePrepareChannel(measure[keep], prep, grid.bare_weights[keep],
                                  name=f"heterodyne_mp({gain})", grid_meta=meta)

@@ -428,8 +428,8 @@ SWEEP_COLUMNS = ("step", "param", "param_value", "margin", "value", "bound",
                  "P_s", "error_estimate", "verdict")
 
 
-def sweep_csv(records: list[ReportRecord], param: str) -> str:
-    """Fixed-column CSV (RFC-4180 quoting) for a sweep."""
+def sweep_csv(records: list[ReportRecord], param: str | None) -> str:
+    """Fixed-column CSV (RFC-4180 quoting) for a sweep, or one run if param is None."""
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
@@ -440,9 +440,10 @@ def sweep_csv(records: list[ReportRecord], param: str) -> str:
         pv = rec.config.get("lambda") if param == "lambda" else None
         if pv is None:
             pv = {"eta": rec.config.get("eta"), "k": rec.config.get("k")}.get(param)
-        if pv is None:
+        if pv is None and param is not None:
             pv = float(rec.config["channel"].split(":")[1])
-        writer.writerow([i, param, pv, res["margin"], value, bound,
+        # a convert report's value is its margin
+        writer.writerow([i, param, pv, res.get("margin", value), value, bound,
                          res["P_s"], res["error_estimate"], rec.verdict])
     return buf.getvalue()
 
@@ -680,7 +681,7 @@ def main(argv=None) -> int:
         else:
             record = run(config)
             if config.output_format == "csv":
-                _emit(sweep_csv([record], "lambda"), config.output_path)
+                _emit(sweep_csv([record], None), config.output_path)
             else:
                 _emit(record.to_json(), config.output_path)
     except ConfigError as exc:

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel, MeasurePrepareChannel
-from .fock import FockSpace, Operator, coherent_ket
+from .fock import FockSpace, Operator, coherent_kets
 from .quadrature import QuadratureGrid
-from .witness import (CoherentIntegralWitness, EnsembleMember, InputEnsemble,
-                      EvaluationError)
+from .witness import CoherentIntegralWitness, EvaluationError, KetEnsemble
 
 CV_ERROR_FLOOR = 1e-5
 
@@ -113,7 +112,7 @@ def optimal_heterodyne_gain(lam: float, eta: float) -> float:
 
 
 def gaussian_coherent_ensemble(lam: float, grid: QuadratureGrid,
-                               space: FockSpace) -> InputEnsemble:
+                               space: FockSpace) -> KetEnsemble:
     """Coherent states at the grid nodes, Gaussian-weighted with width 1/lam.
 
     For lam = 0 the grid must be a flat disk (explicit limit mode): the density
@@ -135,20 +134,22 @@ def gaussian_coherent_ensemble(lam: float, grid: QuadratureGrid,
             if abs(grid.lam - lam) > 1e-12 * max(1.0, lam):
                 raise ValueError(f"grid weight scale {grid.lam} does not match lam={lam}")
             weights = lam * grid.weights
-    members, dropped = [], 0.0
-    for k in range(grid.size):
-        w = float(weights[k])
-        if density[k] < 1e-14:
-            dropped += w
-            continue
-        ket = coherent_ket(grid.nodes[k], space)
-        members.append(EnsembleMember(weight=w, state=ket.normalized(),
-                                      label=complex(grid.nodes[k])))
-    if not members:
+    drop = density < 1e-14
+    # summed in node order: np.sum's pairwise order would move the last bits
+    dropped = 0.0
+    for w in weights[drop].tolist():
+        dropped += w
+    if drop.all():
         raise EvaluationError("all ensemble weights vanished")
-    return InputEnsemble(members, dropped_mass=dropped,
-                         meta={"grid": grid.metadata(), "lam": lam,
-                               "source": "gaussian_coherent"})
+    labels = grid.nodes[~drop]
+    amps, defects = coherent_kets(labels, space)
+    norms = np.array([np.linalg.norm(a) for a in amps])
+    if np.any(norms == 0.0):
+        raise ValueError("cannot normalize zero vector")
+    return KetEnsemble(weights[~drop], amps / norms[:, None], labels, defects, space,
+                       dropped_mass=dropped,
+                       meta={"grid": grid.metadata(), "lam": lam,
+                             "source": "gaussian_coherent"})
 
 
 @dataclass(frozen=True)
@@ -185,22 +186,18 @@ def fidelity_benchmark(channel: Channel, lam: float, eta: float,
     if eta < 0:
         raise ValueError("eta must be >= 0")
     ens = gaussian_coherent_ensemble(lam, grid, space)
-    kets = ens.kets()
-    alphas = np.array(ens.labels, dtype=complex)
     # exact truncated targets, never renormalized: truncation then strictly
     # underestimates fidelity, so numerical error cannot fabricate violations
-    targets_raw = [coherent_ket(math.sqrt(eta) * a, space) for a in alphas]
-    target_defect = float(np.sum(ens.weights *
-                                 np.array([t.norm_defect for t in targets_raw])))
-    targets = np.stack([t.amplitudes for t in targets_raw])
-    traces, fids = channel.transfer(kets, targets)
+    root_eta = math.sqrt(eta)
+    targets, target_defects = coherent_kets([root_eta * a for a in ens.labels], space)
+    target_defect = float(np.sum(ens.weights * target_defects))
+    traces, fids = channel.transfer(ens.kets(), targets)
     ps = float(np.sum(ens.weights * traces))
     if ps < 1e-12:
         raise EvaluationError(f"channel annihilates the ensemble (P_s = {ps:.3e})")
     f_avg = float(np.sum(ens.weights * fids)) / ps
     thr = benchmark_threshold(lam, eta)
-    member_defect = float(np.sum(ens.weights *
-                                 np.array([m.state.norm_defect for m in ens.members])))
+    member_defect = float(np.sum(ens.weights * ens.norm_defects))
     err = (ens.weight_defect + ens.dropped_mass + target_defect + member_defect
            + CV_ERROR_FLOOR)
     if isinstance(channel, MeasurePrepareChannel):
@@ -232,11 +229,11 @@ def fidelity_witness(X: float, u2: float, v2: float, space_a: FockSpace,
     def kernel(beta: complex) -> float:
         return math.exp(-(X / u2) * abs(beta) ** 2) / u2
 
-    def a_ket(beta: complex) -> np.ndarray:
-        return coherent_ket(ratio * beta, space_a).amplitudes
+    def a_kets(betas) -> np.ndarray:
+        return coherent_kets([ratio * b for b in betas], space_a)[0]
 
     return CoherentIntegralWitness(const=1.0 / (1.0 + X), kernel=kernel,
-                                   a_ket=a_ket, a_space=space_a, b_space=space_b,
+                                   a_kets=a_kets, a_space=space_a, b_space=space_b,
                                    closure_lam=(1.0 + X) / u2,
                                    meta={"X": X, "u2": u2, "v2": v2})
 
@@ -256,9 +253,8 @@ def witness14_matrix(X: float, u2: float, v2: float, space_a: FockSpace,
             raise ValueError("X = 0 needs an explicit grid with a finite cut radius")
         grid = QuadratureGrid.gauss_laguerre(1.0 + X, 64, 64)
     u, v = math.sqrt(u2), math.sqrt(v2)
-    a_rows = np.stack([coherent_ket(v * a, space_a).amplitudes for a in grid.nodes])
-    b_rows = np.stack([coherent_ket(u * np.conj(a), space_b).amplitudes
-                       for a in grid.nodes])
+    a_rows, _ = coherent_kets([v * a for a in grid.nodes], space_a)
+    b_rows, _ = coherent_kets([u * np.conj(a) for a in grid.nodes], space_b)
     kern = grid.bare_weights * np.exp(-X * np.abs(grid.nodes) ** 2)
     rows = (a_rows[:, :, None] * b_rows[:, None, :]).reshape(grid.size, -1)
     rows = rows * np.sqrt(kern)[:, None]

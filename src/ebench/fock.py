@@ -97,7 +97,7 @@ class StateVector:
                 f"amplitude length {amplitudes.size} does not match spaces "
                 f"{[s.label for s in spaces]} of total dim {_total_dim(spaces)}"
             )
-        if not np.all(np.isfinite(amplitudes.view(float))):
+        if not np.all(np.isfinite(amplitudes)):
             raise ValueError("non-finite amplitudes")
         self.amplitudes = amplitudes
         self.spaces = spaces
@@ -224,29 +224,46 @@ def basis_ket(space, n: int) -> StateVector:
     return StateVector(amp, space)
 
 
-def coherent_ket(alpha: complex, space: FockSpace) -> StateVector:
-    """Truncated coherent state |alpha> with amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
+def coherent_kets(alphas, space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated coherent states |alpha_k>, one per row, with their tail masses.
 
-    The amplitudes are the exact ones of the infinite-dimensional state, so the
-    vector norm is slightly below 1; the omitted Poisson tail is reported in
-    `norm_defect` (computed via the regularized incomplete gamma function).
+    Returns (amps, norm_defects) of shapes (K, dim) and (K,).  Row k holds the
+    amplitudes e^{-|a|^2/2} a^n / sqrt(n!) of the infinite-dimensional state,
+    so its norm is slightly below 1; norm_defects[k] is the omitted Poisson
+    tail (via the regularized incomplete gamma function).  The per-alpha
+    scalars come from Python's math on complex(a) and only the (K, dim) steps
+    are broadcast, so every row has the bits of a one-alpha call.
     """
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+    alphas = [complex(a) for a in alphas]
+    if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in alphas):
         raise ValueError("alpha must be finite")
     n = np.arange(space.dim)
-    asq = abs(alpha) ** 2
-    if alpha == 0:
-        amp = np.zeros(space.dim, dtype=complex)
-        amp[0] = 1.0
-        return StateVector(amp, space, norm_defect=0.0)
-    # log-magnitude form avoids overflow of alpha**n for large |alpha|
-    logmag = -0.5 * asq + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
-    phase = np.exp(1j * n * math.atan2(alpha.imag, alpha.real))
-    amp = np.exp(logmag) * phase
+    mags = [abs(a) for a in alphas]
+    asq = np.array([m ** 2 for m in mags])
+    # log-magnitude form avoids overflow of alpha**n for large |alpha|; alpha = 0
+    # takes log 1 here and gets the vacuum row below
+    log_abs = np.array([math.log(m) if m else 0.0 for m in mags])
+    theta = np.array([math.atan2(a.imag, a.real) for a in alphas])
+    logmag = (-0.5 * asq)[:, None] + n * log_abs[:, None] - 0.5 * gammaln(n + 1.0)
+    phase = np.exp(1j * n * theta[:, None])
+    amps = np.exp(logmag) * phase
     # Poisson tail beyond the cutoff: P[X > cutoff], X ~ Poisson(|alpha|^2)
-    defect = float(gammainc(space.cutoff + 1.0, asq))
-    return StateVector(amp, space, norm_defect=defect)
+    defects = gammainc(space.cutoff + 1.0, asq)
+    zero = np.array([not m for m in mags], dtype=bool)
+    amps[zero] = 0.0
+    amps[zero, 0] = 1.0
+    defects[zero] = 0.0
+    return amps, defects
+
+
+def coherent_ket(alpha: complex, space: FockSpace) -> StateVector:
+    """Truncated coherent state |alpha>: one row of `coherent_kets`.
+
+    The vector norm is slightly below 1; the omitted Poisson tail is reported
+    in `norm_defect`.
+    """
+    amps, defects = coherent_kets([alpha], space)
+    return StateVector(amps[0], space, norm_defect=defects[0])
 
 
 def two_mode_squeezed_ket(xi: float, space_a: FockSpace, space_b: FockSpace) -> StateVector:
@@ -294,11 +311,6 @@ def mode_operators(space: FockSpace) -> tuple[ModeOperator, ModeOperator]:
 
 def number_operator(space: FockSpace) -> ModeOperator:
     return ModeOperator(np.diag(np.arange(space.dim, dtype=float)), space, kind="general")
-
-
-def identity_operator(spaces) -> Operator:
-    spaces = _as_spaces(spaces)
-    return Operator(np.eye(_total_dim(spaces), dtype=complex), spaces)
 
 
 def tensor(x, y):

@@ -21,6 +21,7 @@ qudit-pairs form goes through the spectral decomposition of each h_B.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import Channel, ChoiState
-from .fock import (DensityOperator, FockSpace, StateVector, coherent_ket,
+from .fock import (DensityOperator, FockSpace, StateVector, coherent_kets,
                    mode_operators)
 from .quadrature import QuadratureGrid
 
@@ -136,18 +137,19 @@ class TermsWitness:
 class CoherentIntegralWitness:
     """Witness const * I - int kernel(a) |f(a)><f(a)|_A (x) |a*><a*|_B d^2a/pi.
 
-    `a_ket(alpha)` must return the exact truncated amplitudes of the A-side
-    state family (including its own Gaussian factor), and `kernel` the scalar
-    weight; `closure_lam` is the total Gaussian decay rate of
-    kernel * |f|^2 * |closure ket|^2, used to build quadrature grids.
+    `a_kets(alphas)` must return, one row per alpha, the exact truncated
+    amplitudes of the A-side state family (including its own Gaussian
+    factor), and `kernel` the scalar weight; `closure_lam` is the total
+    Gaussian decay rate of kernel * |f|^2 * |closure ket|^2, used to build
+    quadrature grids.
     """
 
-    def __init__(self, const: float, kernel: Callable, a_ket: Callable,
+    def __init__(self, const: float, kernel: Callable, a_kets: Callable,
                  a_space: FockSpace, b_space: FockSpace, closure_lam: float,
                  meta: dict | None = None):
         self.const = float(const)
         self.kernel = kernel
-        self.a_ket = a_ket
+        self.a_kets = a_kets
         self.a_space = a_space
         self.b_space = b_space
         self.closure_lam = float(closure_lam)
@@ -158,12 +160,12 @@ class CoherentIntegralWitness:
         eye = np.eye(self.a_dim, dtype=complex)
 
         def sym(alpha: complex) -> np.ndarray:
-            f = self.a_ket(alpha)
+            f = self.a_kets([alpha])[0]
             return self.const * eye - self.kernel(alpha) * np.outer(f, f.conj())
         return sym
 
     def target_kets(self, alphas: np.ndarray) -> np.ndarray:
-        return np.stack([self.a_ket(a) for a in alphas])
+        return self.a_kets(alphas)
 
     def closure_grid(self, radial: int = 64, angular: int = 64) -> QuadratureGrid:
         return QuadratureGrid.gauss_laguerre(self.closure_lam, radial, angular)
@@ -261,6 +263,52 @@ class InputEnsemble:
         return None
 
 
+class KetEnsemble(InputEnsemble):
+    """Pure-state ensemble held as arrays on one space.
+
+    Rows of `kets` (N, d) are the normalized member states, with `weights`,
+    `labels` and `norm_defects` of shape (N,).  EnsembleMember objects are
+    built only when `members` is read.
+    """
+
+    def __init__(self, weights: np.ndarray, kets: np.ndarray, labels: np.ndarray,
+                 norm_defects: np.ndarray, space, dropped_mass: float = 0.0,
+                 meta: dict | None = None):
+        if weights.size == 0:
+            raise ValueError("ensemble has no members")
+        if np.any(weights <= 0):
+            raise ValueError("member weights must be positive")
+        self._weights = weights
+        self._kets = kets
+        self._labels = labels
+        self.norm_defects = norm_defects
+        self.space = space
+        self.dropped_mass = float(dropped_mass)
+        self.meta = meta or {}
+
+    def __len__(self):
+        return self._weights.size
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._labels
+
+    def kets(self) -> np.ndarray:
+        return self._kets
+
+    @functools.cached_property
+    def members(self) -> list[EnsembleMember]:
+        return [EnsembleMember(weight=w, state=StateVector(ket, self.space, defect),
+                               label=label)
+                for w, ket, label, defect in zip(self._weights.tolist(), self._kets,
+                                                 self._labels.tolist(),
+                                                 self.norm_defects.tolist())]
+
+
 def _relative_states(psi, b_kets: np.ndarray):
     """Sandwich <k|psi|k>_B for each row of b_kets (conjugation included).
 
@@ -312,7 +360,7 @@ def ensemble_from_state(psi, grid: QuadratureGrid) -> InputEnsemble:
         raise ValueError("reference state must live on two tagged spaces")
     b_space = psi.spaces[1]
     # <alpha*| rows: conj of |alpha*> amplitudes = amplitudes of |alpha>
-    rows = np.stack([coherent_ket(a, b_space).amplitudes for a in grid.nodes])
+    rows, _ = coherent_kets(grid.nodes, b_space)
     probs, states = _relative_states(psi, rows)
     members, dropped = [], 0.0
     for k in range(grid.size):
@@ -491,8 +539,7 @@ def choi_witness_expectation(w, cs: ChoiState, radial: int = 64,
     elif isinstance(w, CoherentIntegralWitness):
         grid = w.closure_grid(radial, angular)
         a_rows = w.target_kets(grid.nodes)
-        b_rows = np.stack([coherent_ket(np.conj(a), w.b_space).amplitudes
-                           for a in grid.nodes])
+        b_rows, _ = coherent_kets(grid.nodes.conj(), w.b_space)
         u = (a_rows[:, :, None] * b_rows[:, None, :]).reshape(grid.size, -1)
         if u.shape[1] != j.shape[0]:
             raise ValueError("witness and Choi dimensions do not match")

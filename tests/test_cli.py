@@ -338,6 +338,29 @@ class TestMainExitCodes:
         rows = list(csv.reader(io.StringIO(out.read_text())))
         assert len(rows) == 6
 
+    def test_single_run_csv_has_no_sweep_parameter(self, capsys):
+        code = main(["dv", "--channel", "depolarizing:0.2", "--d", "3", "--k", "1",
+                     "--format", "csv"])
+        assert code == 0
+        header, row = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        rec = dict(zip(header, row))
+        assert (rec["step"], rec["param"], rec["param_value"]) == ("0", "", "")
+        assert float(rec["margin"]) == pytest.approx(-0.6, abs=1e-12)
+        assert float(rec["bound"]) == pytest.approx(1.0)
+        assert rec["verdict"] == "violated"
+
+    def test_convert_csv_margin_is_value(self, capsys):
+        code = main(["convert", "--channel", "depolarizing:0.2", "--d", "3",
+                     "--witness", "schmidt_witness(1,3)", "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        header, row = list(csv.reader(io.StringIO(out)))
+        rec = dict(zip(header, row))
+        assert (rec["param"], rec["param_value"], rec["bound"]) == ("", "", "")
+        assert rec["margin"] == rec["value"]
+        assert float(rec["value"]) == pytest.approx(-0.6, abs=1e-12)
+        assert rec["verdict"] == "violated"
+
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ebench.cli", "--version"],
                               capture_output=True, text=True)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ebench.dv import mub_bases
 from ebench.fock import (DensityOperator, FockSpace, Space, StateVector,
                          basis_ket, coherent_ket, expectation,
                          max_entangled_ket, mode_operators, number_operator,
@@ -227,3 +228,13 @@ def test_state_vector_validation():
         StateVector(np.ones(3), SP40)
     with pytest.raises(ValueError, match="cutoff"):
         FockSpace(0, "bad")
+
+
+def test_state_vector_accepts_strided_column():
+    column = mub_bases(3)[1][:, 1]
+    assert not column.flags.c_contiguous
+    assert np.array_equal(StateVector(column, Space("A", 3)).amplitudes, column)
+    bad = np.array(mub_bases(3)[1])
+    bad[2, 1] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        StateVector(bad[:, 1], Space("A", 3))

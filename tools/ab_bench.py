@@ -1,0 +1,107 @@
+"""Run the benchmark on two checkouts in alternating order and compare them.
+
+Usage:
+
+    python3 tools/ab_bench.py OLD_ROOT NEW_ROOT --workload cv-fidelity --seeds 1:4
+
+For every seed in the inclusive range ``a:b`` the tool runs
+``perfbench/run.py --workload W --seed S --seconds N --trace 0`` of each tree,
+from that tree's root, one run at a time.  The tree that runs first swaps from
+one seed to the next (the old tree goes first on the first seed), so a drift of
+the machine's speed over a pair does not always favour the same side.  ``N`` is
+``run_seconds`` of ``NEW_ROOT/BENCHMARK.json``.
+
+It prints every run as it finishes and then, for each end-to-end metric that
+``BENCHMARK.json`` lists, the median and quartiles of each side over the seeds
+and the number of pairs (runs of one seed) that the new tree won, in the
+direction the metric names as better; ties count for neither side.  It exits
+1 if a run fails, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+from diff_outputs import seed_range
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced benchmark run of ``root``: its final JSON line."""
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{root}: seed {seed} exited with {proc.returncode}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
+    """One line per end-to-end metric from (old, new) run results of the same seeds."""
+    lines = []
+    for spec in metrics:
+        name, sign = spec["name"], (1 if spec["better"] == "higher" else -1)
+        old = [o["metrics"][name]["value"] for o, _ in pairs]
+        new = [n["metrics"][name]["value"] for _, n in pairs]
+        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        (o1, o2, o3), (n1, n2, n3) = quartiles(old), quartiles(new)
+        lines.append(f"{name} ({spec['unit']}, {spec['better']} is better): "
+                     f"old {o2:.6g} [{o1:.6g}, {o3:.6g}], new {n2:.6g} [{n1:.6g}, {n3:.6g}], "
+                     f"ratio {n2 / o2:.4g}, new better in {wins}/{len(pairs)} pairs")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_root", type=Path)
+    ap.add_argument("new_root", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="inclusive range FIRST:LAST")
+    args = ap.parse_args(argv)
+    try:
+        seeds = seed_range(args.seeds)
+    except ValueError:
+        ap.error(f"--seeds expects FIRST:LAST with FIRST <= LAST, got {args.seeds!r}")
+    roots = (args.old_root.resolve(), args.new_root.resolve())
+    for root in roots:
+        if not (root / "perfbench" / "run.py").is_file():
+            ap.error(f"{root} holds no perfbench/run.py")
+    bench = json.loads((roots[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        pair = [None, None]
+        for side in order:
+            try:
+                pair[side] = run_once(roots[side], args.workload, seed, seconds)
+            except RuntimeError as exc:
+                print(exc, file=sys.stderr)
+                return 1
+            res = pair[side]
+            values = " ".join(f"{m['name']}={res['metrics'][m['name']]['value']:.6g}"
+                              for m in bench["end_to_end"])
+            print(f"seed {seed} {('old', 'new')[side]}: correct={res['correct']} "
+                  f"failed={res['failed']}/{res['attempted']} {values}", flush=True)
+        pairs.append(tuple(pair))
+    print(f"{args.workload}, seeds {args.seeds}, {seconds} s per run, alternating order:")
+    for line in summarize(pairs, bench["end_to_end"]):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
