@@ -25,6 +25,24 @@ TP_TOL = 1e-9
 # class k of every d <= 8 fits, and a sweep over d keeps the latest entries.
 _MEMO_SIZE = 32
 
+# Element budget of one row block of an (N, width) temporary: 2^19 complex
+# values, 8 MB.  BLAS gives each row the bits of the unblocked call as long as
+# blocks start at multiples of 8 and none has a single row (a 1-row product
+# takes the gemv path); tests/test_row_blocks.py checks it.
+_BLOCK_ELEMS = 1 << 19
+
+
+def _row_blocks(n: int, width: int):
+    """(start, stop) ranges over range(n) in order, each a multiple of 8 rows
+    except the last, which absorbs a tail shorter than 8; n rows that fit the
+    budget form one block."""
+    rows = max(8, (_BLOCK_ELEMS // width) // 8 * 8)
+    start = 0
+    while start < n:
+        stop = start + rows if n - start - rows >= 8 else n
+        yield start, stop
+        start = stop
+
 
 class Channel:
     """Base class: a CP map on a `dim`-dimensional input, scaled by `scale`."""
@@ -177,11 +195,15 @@ class MeasurePrepareChannel(Channel):
         return (self.prep.T * c) @ self.prep.conj()
 
     def transfer(self, input_kets, target_kets):
-        m = input_kets @ self.measure.conj().T        # (N, K): <b_k|v_i>
-        probs = np.abs(m) ** 2
-        traces = probs @ self.weights * self.scale
-        g = target_kets.conj() @ self.prep.T          # (N, K): <t_i|p_k>
-        fids = ((probs * np.abs(g) ** 2) @ self.weights) * self.scale
+        n = input_kets.shape[0]
+        traces, fids = np.empty(n), np.empty(n)
+        mc = self.measure.conj().T
+        for a, b in _row_blocks(n, self.weights.size):
+            m = input_kets[a:b] @ mc                   # (rows, K): <b_k|v_i>
+            probs = np.abs(m) ** 2
+            traces[a:b] = probs @ self.weights * self.scale
+            g = target_kets[a:b].conj() @ self.prep.T  # (rows, K): <t_i|p_k>
+            fids[a:b] = ((probs * np.abs(g) ** 2) @ self.weights) * self.scale
         return traces, fids
 
     def povm_closure_defect(self) -> float:
@@ -465,10 +487,12 @@ def choi_state(channel: Channel, psi) -> ChoiState:
                 amp = np.sqrt(w * channel.weights)
                 # rows sqrt(w_k) kron(prep_k, m_k), batched over nodes
                 block = (channel.prep[:, :, None] * m[:, None, :]).reshape(m.shape[0], -1)
-                rows.append(block * amp[:, None])
+                block *= amp[:, None]
+                rows.append(block)
             else:
                 raise TypeError(f"unsupported channel type {type(channel).__name__}")
-        u = np.vstack(rows)
+        # one measure-and-prepare block is used as is; Kraus rows are 1-D
+        u = rows[0] if len(rows) == 1 and rows[0].ndim == 2 else np.vstack(rows)
         j = (u.T @ u.conj()) * channel.scale
     ps = float(np.trace(j).real)
     return ChoiState(J=DensityOperator(j, spaces, check=False), P_s=ps,

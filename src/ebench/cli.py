@@ -18,7 +18,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -403,25 +402,11 @@ def _step_config(config: RunConfig, param: str, value) -> RunConfig:
 
 
 def sweep(config: RunConfig) -> list[ReportRecord]:
-    """One benchmark run per sweep step, in parameter order.
-
-    Steps execute in a thread pool sized by EBENCH_THREADS (default 1, serial);
-    the output order is by parameter index regardless of completion order.
-    """
+    """One benchmark run per sweep step, in parameter order."""
     if config.sweep is None:
         raise ConfigError("sweep needs a sweep block")
-    values = config.sweep.values()
-    configs = [_step_config(config, config.sweep.param, v) for v in values]
-    try:
-        workers = int(os.environ.get("EBENCH_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, configs))
-    else:
-        records = [run(c) for c in configs]
-    return records
+    configs = [_step_config(config, config.sweep.param, v) for v in config.sweep.values()]
+    return [run(c) for c in configs]
 
 
 SWEEP_COLUMNS = ("step", "param", "param_value", "margin", "value", "bound",

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import Channel, ChoiState
+from .channels import Channel, ChoiState, _row_blocks
 from .fock import (DensityOperator, FockSpace, StateVector, coherent_kets,
                    mode_operators)
 from .quadrature import QuadratureGrid
@@ -540,11 +540,14 @@ def choi_witness_expectation(w, cs: ChoiState, radial: int = 64,
         grid = w.closure_grid(radial, angular)
         a_rows = w.target_kets(grid.nodes)
         b_rows, _ = coherent_kets(grid.nodes.conj(), w.b_space)
-        u = (a_rows[:, :, None] * b_rows[:, None, :]).reshape(grid.size, -1)
-        if u.shape[1] != j.shape[0]:
+        if a_rows.shape[1] * b_rows.shape[1] != j.shape[0]:
             raise ValueError("witness and Choi dimensions do not match")
         kern = np.array([w.kernel(a) for a in grid.nodes])
-        sand = np.sum((u.conj() @ j) * u, axis=1).real
+        sand = np.empty(grid.size)
+        for lo, hi in _row_blocks(grid.size, j.shape[0]):
+            # rows of product kets a_k (x) b_k, one block at a time
+            u = (a_rows[lo:hi, :, None] * b_rows[lo:hi, None, :]).reshape(hi - lo, -1)
+            sand[lo:hi] = np.sum((u.conj() @ j) * u, axis=1).real
         val = w.const * np.trace(j) - complex(np.sum(grid.bare_weights * kern * sand))
     else:
         raise TypeError(f"unsupported witness type {type(w).__name__}")

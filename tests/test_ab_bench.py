@@ -34,3 +34,15 @@ def test_summary_quartiles_and_wins_in_the_better_direction():
     assert ops_line.endswith("new better in 1/3 pairs")
     assert "old 1 [1, 1.5], new 1 [1, 2]" in p50_line
     assert p50_line.endswith("new better in 1/3 pairs")
+
+
+def test_gate_flags_incorrect_runs_and_a_larger_failed_share():
+    ab = load_ab_bench()
+    ok = {"correct": True, "failed": 1, "attempted": 70}
+    pairs = [(ok, ok),
+             (ok, {"correct": False, "failed": 1, "attempted": 70}),
+             (ok, {"correct": True, "failed": 2, "attempted": 70}),
+             (ok, {"correct": True, "failed": 1, "attempted": 80})]    # smaller share
+    assert ab.gate([1, 2, 3, 4], pairs) == [
+        "seed 2: new tree reports correct: false",
+        "seed 3: failed share rose from 0.0142857 to 0.0285714"]

@@ -14,8 +14,10 @@ the machine's speed over a pair does not always favour the same side.  ``N`` is
 It prints every run as it finishes and then, for each end-to-end metric that
 ``BENCHMARK.json`` lists, the median and quartiles of each side over the seeds
 and the number of pairs (runs of one seed) that the new tree won, in the
-direction the metric names as better; ties count for neither side.  It exits
-1 if a run fails, 0 otherwise.
+direction the metric names as better; ties count for neither side.  Each run
+also shows its failed share (failed ops over attempted ops).  It exits 1 if a
+run fails, or if on any seed the new tree reports ``correct: false`` or a
+larger failed share than the old tree; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -63,6 +65,22 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     return lines
 
 
+def failed_share(res: dict) -> float:
+    return res["failed"] / res["attempted"] if res["attempted"] else 0.0
+
+
+def gate(seeds: list[int], pairs: list[tuple[dict, dict]]) -> list[str]:
+    """One line per seed on which the new tree is incorrect or fails more ops."""
+    lines = []
+    for seed, (old, new) in zip(seeds, pairs):
+        if not new["correct"]:
+            lines.append(f"seed {seed}: new tree reports correct: false")
+        if failed_share(new) > failed_share(old):
+            lines.append(f"seed {seed}: failed share rose from {failed_share(old):.6g} "
+                         f"to {failed_share(new):.6g}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_root", type=Path)
@@ -95,12 +113,16 @@ def main(argv=None) -> int:
             values = " ".join(f"{m['name']}={res['metrics'][m['name']]['value']:.6g}"
                               for m in bench["end_to_end"])
             print(f"seed {seed} {('old', 'new')[side]}: correct={res['correct']} "
-                  f"failed={res['failed']}/{res['attempted']} {values}", flush=True)
+                  f"failed={res['failed']}/{res['attempted']} "
+                  f"failed_share={failed_share(res):.6g} {values}", flush=True)
         pairs.append(tuple(pair))
     print(f"{args.workload}, seeds {args.seeds}, {seconds} s per run, alternating order:")
     for line in summarize(pairs, bench["end_to_end"]):
         print(line)
-    return 0
+    problems = gate(seeds, pairs)
+    for line in problems:
+        print(line, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
