@@ -577,6 +577,18 @@ def parse_channel_spec(text: str) -> ChannelSpec:
                               ("inner", parse_channel_spec(inner_text))))
 
 
+def _load_kraus_npz(path: str) -> list[np.ndarray]:
+    """The arrays of an .npz archive in name order; file problems raise ValueError."""
+    try:
+        data = np.load(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load Kraus operators from {path}: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"kraus needs an .npz archive of operators; {path} holds one array")
+    with data:
+        return [data[name] for name in sorted(data.files)]
+
+
 def build_channel(spec: ChannelSpec, *, fock_space: FockSpace | None = None,
                   qudit_dim: int | None = None,
                   grid: QuadratureGrid | None = None,
@@ -620,9 +632,7 @@ def build_channel(spec: ChannelSpec, *, fock_space: FockSpace | None = None,
     if kind == "rank_k_random":
         return rank_k_random(qudit_dim, p["k"], p["seed"])
     if kind == "kraus_explicit":
-        data = np.load(p["path"])
-        mats = [data[name] for name in sorted(data.files)]
-        return kraus_explicit(mats)
+        return kraus_explicit(_load_kraus_npz(p["path"]))
     if kind == "filter_scale":
         inner = build_channel(p["inner"], fock_space=fock_space,
                               qudit_dim=qudit_dim, grid=grid,

@@ -324,6 +324,8 @@ def _run_convert(config: RunConfig) -> tuple[dict, str, list]:
         raise ConfigError("convert mode needs a witness")
     if config.witness.startswith("schmidt_witness"):
         w = parse_witness(config.witness, config)
+        if w.b_dim != config.d:
+            raise ConfigError(f"the witness acts on d = {w.b_dim}, but the run has d = {config.d}")
         channel = build_channel(parse_channel_spec(config.channel),
                                 qudit_dim=config.d)
         psi = max_entangled_state(config.d)
@@ -645,8 +647,11 @@ def _emit(text: str, path: str):
     if path == "-":
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output to {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _MEMO_SIZE, Channel
+from .channels import _MEMO_SIZE, Channel, _fourier_basis
 from .fock import DensityOperator, Space, StateVector, max_entangled_ket
 from .witness import QuditPairsWitness, pairs_conversion
 
@@ -91,8 +91,7 @@ def mub_bases(d: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _mub_bases(d: int) -> tuple[np.ndarray, np.ndarray]:
     QuditSystem(d)
-    j = np.arange(d)
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
+    fourier = _fourier_basis(d)
     comp = np.eye(d, dtype=complex)
     comp.setflags(write=False)
     fourier.setflags(write=False)

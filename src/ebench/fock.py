@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 HERMITICITY_TOL = 1e-12
 NORM_WARN_TOL = 1e-8
@@ -234,6 +233,8 @@ def coherent_kets(alphas, space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     scalars come from Python's math on complex(a) and only the (K, dim) steps
     are broadcast, so every row has the bits of a one-alpha call.
     """
+    # SciPy loads on the first CV call, so DV-only processes never import it
+    from scipy.special import gammainc, gammaln
     alphas = [complex(a) for a in alphas]
     if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in alphas):
         raise ValueError("alpha must be finite")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_laguerre, roots_legendre
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,7 @@ class QuadratureGrid:
                              "use flat_disk for the lam = 0 limit")
         if radial < 2 or angular < 4:
             raise ValueError("need radial >= 2 and angular >= 4 nodes")
+        from scipy.special import roots_laguerre  # CV-only; kept off `import ebench`
         t, v = roots_laguerre(radial)
         r = np.sqrt(t / lam)
         if alpha_max is not None:
@@ -73,6 +73,7 @@ class QuadratureGrid:
         """Gauss-Legendre (radial, in t = r^2) x uniform grid on |alpha| <= alpha_max."""
         if alpha_max <= 0:
             raise ValueError("alpha_max must be > 0")
+        from scipy.special import roots_legendre  # CV-only; kept off `import ebench`
         x, u = roots_legendre(radial)
         # map [-1, 1] -> t in [0, alpha_max^2]
         tmax = alpha_max ** 2

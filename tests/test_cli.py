@@ -317,6 +317,34 @@ class TestMainExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_missing_kraus_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.npz"
+        assert main(["dv", "--d", "2", "--k", "1", "--channel", f"kraus:{path}"]) == 2
+        assert f"config error: cannot load Kraus operators from {path}" in capsys.readouterr().err
+
+    def test_kraus_directory_exit_2(self, tmp_path, capsys):
+        assert main(["dv", "--d", "2", "--k", "1", "--channel", f"kraus:{tmp_path}"]) == 2
+        assert f"config error: cannot load Kraus operators from {tmp_path}" in capsys.readouterr().err
+
+    def test_kraus_npy_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "one.npy"
+        np.save(path, np.eye(2, dtype=complex))
+        assert main(["dv", "--d", "2", "--k", "1", "--channel", f"kraus:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kraus needs an .npz archive") and str(path) in err
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "no-such-dir" / "report.json"
+        assert main(["dv", "--d", "2", "--k", "1", "--channel", "z_mp",
+                     "--output", str(path)]) == 2
+        assert f"config error: cannot write output to {path}" in capsys.readouterr().err
+
+    def test_convert_witness_dimension_mismatch_exit_2(self, capsys):
+        assert main(["convert", "--d", "3", "--witness", "schmidt_witness(1,4)",
+                     "--channel", "depolarizing:0.3"]) == 2
+        err = capsys.readouterr().err
+        assert "d = 4" in err and "d = 3" in err and "matmul" not in err
+
     def test_file_output(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["dv", "--d", "2", "--k", "1", "--channel", "z_mp",

@@ -78,6 +78,16 @@ class TestMub:
         overlaps = np.abs(comp.conj().T @ f) ** 2
         assert np.max(np.abs(overlaps - 1.0 / 7.0)) < 1e-13
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_fourier_basis_is_the_x_measure_prepare_basis(self, d):
+        # one formula, the same bits as the expression it replaced
+        _, f = mub_bases(d)
+        j = np.arange(d)
+        assert np.array_equal(f, np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d))
+        kraus = x_measure_prepare(d).kraus
+        assert all(np.array_equal(k, np.outer(f[:, l], f[:, l].conj()))
+                   for l, k in enumerate(kraus))
+
 
 class TestGValue:
     def test_anchors(self):

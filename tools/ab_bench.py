@@ -14,7 +14,9 @@ the machine's speed over a pair does not always favour the same side.  ``N`` is
 It prints every run as it finishes and then, for each end-to-end metric that
 ``BENCHMARK.json`` lists, the median and quartiles of each side over the seeds
 and the number of pairs (runs of one seed) that the new tree won, in the
-direction the metric names as better; ties count for neither side.  Each run
+direction the metric names as better; ties count for neither side.  With
+``--claim METRIC`` it then prints whether the claimed gain on METRIC holds and
+a bound verdict for every other metric (see ``verdicts``).  Each run
 also shows its failed share (failed ops over attempted ops).  It exits 1 if a
 run fails, or if on any seed the new tree reports ``correct: false`` or a
 larger failed share than the old tree; 0 otherwise.
@@ -50,18 +52,63 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def compare(pairs: list[tuple[dict, dict]], spec: dict):
+    """(old values, new values, pairs the new tree won, sign) of one metric.
+
+    ``sign`` is +1 when higher is better and -1 when lower is better.
+    """
+    name, sign = spec["name"], (1 if spec["better"] == "higher" else -1)
+    old = [o["metrics"][name]["value"] for o, _ in pairs]
+    new = [n["metrics"][name]["value"] for _, n in pairs]
+    wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+    return old, new, wins, sign
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """One line per end-to-end metric from (old, new) run results of the same seeds."""
     lines = []
     for spec in metrics:
-        name, sign = spec["name"], (1 if spec["better"] == "higher" else -1)
-        old = [o["metrics"][name]["value"] for o, _ in pairs]
-        new = [n["metrics"][name]["value"] for _, n in pairs]
-        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        old, new, wins, _ = compare(pairs, spec)
         (o1, o2, o3), (n1, n2, n3) = quartiles(old), quartiles(new)
-        lines.append(f"{name} ({spec['unit']}, {spec['better']} is better): "
+        lines.append(f"{spec['name']} ({spec['unit']}, {spec['better']} is better): "
                      f"old {o2:.6g} [{o1:.6g}, {o3:.6g}], new {n2:.6g} [{n1:.6g}, {n3:.6g}], "
                      f"ratio {n2 / o2:.4g}, new better in {wins}/{len(pairs)} pairs")
+    return lines
+
+
+def verdicts(pairs: list[tuple[dict, dict]], metrics: list[dict], claim: str) -> list[str]:
+    """The verdict on the claimed metric, then one line per other metric.
+
+    The claim holds when the new tree wins at least 9 of every 10 pairs and its
+    median beats the old median by more than the old interquartile range.
+    Every other metric is ``unresolved`` when the old interquartile range,
+    relative to the old median, exceeds the metric's ``bound``, unless every
+    new run is better than every old run; otherwise it is ``ok`` when the new
+    median is no worse than the old one, and ``worse within bound`` or ``worse
+    beyond bound`` by the relative loss of the median.
+    """
+    lines = []
+    for spec in metrics:
+        old, new, wins, sign = compare(pairs, spec)
+        (o1, o2, o3), n2 = quartiles(old), statistics.median(new)
+        name, iqr = spec["name"], o3 - o1
+        if name == claim:
+            gap = sign * (n2 - o2)
+            held = wins * 10 >= 9 * len(pairs) and gap > iqr
+            lines.insert(0, f"claim {name}: {'holds' if held else 'does not hold'} "
+                            f"(new better in {wins}/{len(pairs)} pairs, median gain "
+                            f"{gap:.6g} vs old interquartile range {iqr:.6g})")
+            continue
+        bound, loss = spec["bound"], -sign * (n2 - o2) / abs(o2)
+        separated = min(sign * b for b in new) > max(sign * a for a in old)
+        if iqr / abs(o2) > bound and not separated:
+            verdict = "unresolved"
+        elif loss <= 0:
+            verdict = "ok"
+        else:
+            verdict = "worse within bound" if loss <= bound else "worse beyond bound"
+        lines.append(f"{name}: {verdict} (median loss {max(loss, 0.0):.4g}, "
+                     f"old spread {iqr / abs(o2):.4g}, bound {bound:g})")
     return lines
 
 
@@ -87,6 +134,8 @@ def main(argv=None) -> int:
     ap.add_argument("new_root", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="inclusive range FIRST:LAST")
+    ap.add_argument("--claim", metavar="METRIC",
+                    help="end-to-end metric the new tree claims to improve")
     args = ap.parse_args(argv)
     try:
         seeds = seed_range(args.seeds)
@@ -98,6 +147,9 @@ def main(argv=None) -> int:
             ap.error(f"{root} holds no perfbench/run.py")
     bench = json.loads((roots[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
+    names = [m["name"] for m in bench["end_to_end"]]
+    if args.claim is not None and args.claim not in names:
+        ap.error(f"--claim expects one of {', '.join(names)}, got {args.claim!r}")
 
     pairs = []
     for i, seed in enumerate(seeds):
@@ -119,6 +171,9 @@ def main(argv=None) -> int:
     print(f"{args.workload}, seeds {args.seeds}, {seconds} s per run, alternating order:")
     for line in summarize(pairs, bench["end_to_end"]):
         print(line)
+    if args.claim is not None:
+        for line in verdicts(pairs, bench["end_to_end"], args.claim):
+            print(line)
     problems = gate(seeds, pairs)
     for line in problems:
         print(line, file=sys.stderr)
