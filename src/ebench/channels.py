@@ -103,6 +103,10 @@ class Channel:
     def scaled(self, q: float) -> "Channel":
         raise NotImplementedError
 
+    def covariant_under(self, order: int) -> bool:
+        """True if E commutes with the phase rotation e^{2 pi i n / order}."""
+        return False
+
     @property
     def trace_preserving(self) -> bool:
         raise NotImplementedError
@@ -145,6 +149,11 @@ class KrausChannel(Channel):
             amp = np.sum(tc * w, axis=1)
             fids += np.abs(amp) ** 2
         return traces * self.scale, fids * self.scale
+
+    def covariant_under(self, order):
+        # K with all nonzeros on one diagonal j - i = c has K U = e^{ict} U K
+        # for every phase rotation U = e^{itn}
+        return all(len(set((j - i).tolist())) <= 1 for i, j in map(np.nonzero, self.kraus))
 
     def completeness(self) -> np.ndarray:
         """scale * sum K^dag K as a matrix."""
@@ -214,6 +223,12 @@ class MeasurePrepareChannel(Channel):
     @property
     def trace_preserving(self) -> bool:
         return self.scale == 1.0 and self.povm_closure_defect() <= 1e-6
+
+    def covariant_under(self, order):
+        # heterodyne_mp keeps or drops whole rings of its grid, so the node set
+        # is invariant under rotation by 2 pi / angular
+        angular = self.grid_meta.get("angular")
+        return angular is not None and angular % order == 0
 
     def scaled(self, q):
         ch = MeasurePrepareChannel(self.measure, self.prep, self.weights,
@@ -632,7 +647,14 @@ def build_channel(spec: ChannelSpec, *, fock_space: FockSpace | None = None,
     if kind == "rank_k_random":
         return rank_k_random(qudit_dim, p["k"], p["seed"])
     if kind == "kraus_explicit":
-        return kraus_explicit(_load_kraus_npz(p["path"]))
+        ch = kraus_explicit(_load_kraus_npz(p["path"]))
+        want = fock_space.dim if fock_space is not None else qudit_dim
+        if want is not None and ch.dim != want:
+            run = (f"the Fock space at cutoff {fock_space.cutoff} has dimension {want}"
+                   if fock_space is not None else f"the run has d = {want}")
+            raise ValueError(f"the Kraus operators in {p['path']} act on dimension "
+                             f"{ch.dim}, but {run}")
+        return ch
     if kind == "filter_scale":
         inner = build_channel(p["inner"], fock_space=fock_space,
                               qudit_dim=qudit_dim, grid=grid,

@@ -182,10 +182,14 @@ def fidelity_benchmark(channel: Channel, lam: float, eta: float,
 
     F_avg = (1/P_s) (lam/pi) int e^{-lam|a|^2} <sqrt(eta) a|E(|a><a|)|sqrt(eta) a> d^2a,
     P_s   =         (lam/pi) int e^{-lam|a|^2} tr E(|a><a|) d^2a.
+
+    A channel covariant under the grid's phase rotations gives every node of a
+    ring the same trace and fidelity, so each ring is evaluated once (grid.rings()).
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    ens = gaussian_coherent_ensemble(lam, grid, space)
+    ens_grid = grid.rings() if channel.covariant_under(grid.angular_count) else grid
+    ens = gaussian_coherent_ensemble(lam, ens_grid, space)
     # exact truncated targets, never renormalized: truncation then strictly
     # underestimates fidelity, so numerical error cannot fabricate violations
     root_eta = math.sqrt(eta)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import _MEMO_SIZE, Channel, _fourier_basis
 from .fock import DensityOperator, Space, StateVector, max_entangled_ket
-from .witness import QuditPairsWitness, pairs_conversion
+from .witness import EvaluationError, QuditPairsWitness, pairs_conversion
 
 DV_ERROR_FLOOR = 1e-12
 
@@ -206,7 +206,7 @@ def schmidt_benchmark(channel: Channel, k: int, d: int) -> SchmidtBenchReport:
         total += ph * np.sum(p.X.T * out_x) + np.conj(ph) * np.sum(p.X.conj() * out_x)
     ps /= 2.0 * d
     if ps < 1e-12:
-        raise ValueError(f"channel annihilates the benchmark inputs (P_s = {ps:.3e})")
+        raise EvaluationError(f"channel annihilates the benchmark inputs (P_s = {ps:.3e})")
     raw = total / (2.0 * d)
     value = float(raw.real) / ps
     imag = abs(float(raw.imag)) / ps

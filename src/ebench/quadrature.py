@@ -11,7 +11,7 @@ quadrature error model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -100,6 +100,27 @@ class QuadratureGrid:
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
         """sum_k weights_k f(nodes_k) with f vectorized over nodes."""
         return complex(np.sum(self.weights * f(self.nodes)))
+
+    def rings(self) -> "QuadratureGrid":
+        """One node per ring, at angle 0, carrying the ring's summed weights.
+
+        Exact for integrands invariant under rotation by 2 pi / angular_count.
+        Raises ValueError unless the nodes form rings of angular_count nodes of
+        equal radius at angles 2 pi j / angular_count (any layout if that is 1).
+        """
+        a = self.angular_count
+        if a == 1:
+            return self
+        r = np.abs(self.nodes[::a])
+        ring = r[:, None] * np.exp(2j * np.pi * np.arange(a) / a)
+        atol = 1e-12 * max(1.0, r.max(initial=0.0))
+        if self.size != r.size * a or not np.allclose(self.nodes.reshape(-1, a), ring,
+                                                      rtol=0.0, atol=atol):
+            raise ValueError(f"grid nodes are not rings of {a} at angles 2 pi j / {a}")
+        return replace(self, nodes=r.astype(complex),
+                       weights=self.weights.reshape(-1, a).sum(axis=1),
+                       bare_weights=self.bare_weights.reshape(-1, a).sum(axis=1),
+                       angular_count=1)
 
     def refined(self, factor: int = 2) -> "QuadratureGrid":
         """Same construction with `factor` times as many nodes per direction."""

@@ -345,6 +345,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "d = 4" in err and "d = 3" in err and "matmul" not in err
 
+    def test_dv_zero_kraus_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "zero.npz"
+        np.savez(path, k0=np.zeros((3, 3), dtype=complex))
+        assert main(["dv", "--d", "3", "--k", "1", "--channel", f"kraus:{path}"]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: channel annihilates")
+
+    @pytest.mark.parametrize("mode", ["cv", "convert"])
+    def test_kraus_fock_dimension_mismatch_exit_2(self, mode, tmp_path, capsys):
+        path = tmp_path / "three.npz"
+        np.savez(path, k0=np.eye(3, dtype=complex))
+        argv = [mode, "--channel", f"kraus:{path}", "--cutoff", "20",
+                "--radial", "8", "--angular", "8"]
+        if mode == "convert":
+            argv += ["--witness", "fidelity_witness(0.1,0.8,0.6)"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "dimension 3" in err
+        assert "dimension 21" in err and "gufunc" not in err
+
     def test_file_output(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["dv", "--d", "2", "--k", "1", "--channel", "z_mp",

@@ -1,4 +1,4 @@
-"""Byte-compare the outputs of the benchmark operations between two checkouts.
+"""Compare the outputs of the benchmark operations between two checkouts.
 
 Usage:
 
@@ -18,16 +18,37 @@ compares:
   ``float.hex``;
 * either kind: the exception, if the operation raised one.
 
-It prints each differing operation and a total, and exits 1 if any operation
-differs, 0 if none does.  The two trees run one after the other, so memory
+By default it compares bytes: it prints each differing operation and a total,
+and exits 1 if any operation differs, 0 if none does.  The two trees run one after the other, so memory
 use is that of one benchmark worker.
+
+``--values`` compares values instead of bytes.  CLI stdout is parsed as a JSON
+record, a JSON list of sweep records or CSV rows; exit codes, key sets,
+strings (verdicts included), ints and stderr must match exactly, and each float
+may move by at most ``VALUE_FRACTION`` of its record's old ``error_estimate``.
+A record without one, unparsable stdout and library values must match
+exactly.  Per operation the tool prints the largest |delta| and the largest
+|delta| / ``error_estimate``.
+
+``--expect FILE`` declares intended changes, in either mode.  FILE holds a JSON
+list of entries ``{"op": PATTERN, "fields": {FIELD: {"old": V, "new": V}},
+"reason": TEXT}``: PATTERN is an ``fnmatch`` pattern on the operation label
+(``seed S cycle C: LABEL``), FIELD one of ``exit``, ``stdout``, ``stderr``,
+``value`` or ``raised``, and ``"*"`` stands for any value.  A declared field
+must hold its old value in the old tree and its new value in the new one, and
+is then left out of the comparison.  An entry that matches no operation fails
+the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import fnmatch
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -38,6 +59,9 @@ from pathlib import Path
 import numpy as np
 
 WALL_TIME = re.compile(r'("wall_time_s": )[^,\n}]+')
+# a float may move by this fraction of its record's old error_estimate (--values)
+VALUE_FRACTION = 0.01
+FIELDS = ("exit", "stdout", "stderr", "value", "raised")
 
 
 def child_env(root: Path) -> dict:
@@ -96,7 +120,7 @@ def op_fields(op, inputs: str) -> dict:
     if (isinstance(res, tuple) and len(res) == 3 and isinstance(res[0], int)
             and isinstance(res[1], str) and isinstance(res[2], str)):
         rc, out, err = res
-        return {"exit": rc, "stdout": WALL_TIME.sub(r"\1<masked>", out),
+        return {"exit": rc, "stdout": WALL_TIME.sub(r'\1"<masked>"', out),
                 "stderr": mask(err)}
     return {"value": canonical(res)}
 
@@ -143,21 +167,149 @@ def run_tree(root: Path, args, out_path: Path) -> list | None:
     return json.loads(out_path.read_text(encoding="utf-8"))
 
 
-def compare(old: list, new: list) -> int:
-    differ = 0
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse_records(stdout: str) -> list[dict] | None:
+    """CLI stdout as records: a JSON object, a JSON list of objects or CSV rows."""
+    try:
+        data = json.loads(stdout)
+    except ValueError:
+        data = None
+    if isinstance(data, dict):
+        return [data]
+    if isinstance(data, list) and data and all(isinstance(r, dict) for r in data):
+        return data
+    rows = list(csv.reader(io.StringIO(stdout)))
+    if len(rows) >= 2 and all(len(r) == len(rows[0]) for r in rows):
+        return [dict(zip(rows[0], map(_cell, r))) for r in rows[1:]]
+    return None
+
+
+def error_estimate(record: dict) -> float:
+    """The record's error_estimate (top level or under results), else 0."""
+    for where in (record, record.get("results")):
+        if isinstance(where, dict) and isinstance(where.get("error_estimate"), float):
+            return where["error_estimate"]
+    return 0.0
+
+
+def diff_values(old, new, tol: float, path: str, problems: list) -> float:
+    """Append each mismatch beyond tol to problems; return the largest float |delta|."""
+    if isinstance(old, float) and isinstance(new, float):
+        if old == new or (math.isnan(old) and math.isnan(new)):
+            return 0.0
+        delta = abs(new - old)
+        if not delta <= tol:
+            problems.append(f"{path} {old!r} -> {new!r}")
+        return delta
+    if isinstance(old, dict) and isinstance(new, dict):
+        if set(old) != set(new):
+            problems.append(f"{path} keys {sorted(set(old) ^ set(new))}")
+            return 0.0
+        return max((diff_values(old[k], new[k], tol, f"{path}.{k}", problems)
+                    for k in sorted(old)), default=0.0)
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return max((diff_values(a, b, tol, f"{path}[{i}]", problems)
+                    for i, (a, b) in enumerate(zip(old, new))), default=0.0)
+    if type(old) is not type(new) or old != new:
+        problems.append(f"{path} {old!r} -> {new!r}")
+    return 0.0
+
+
+def diff_stdout(old: str, new: str, problems: list) -> tuple[float, float]:
+    """(largest |delta|, largest |delta| / error_estimate) between two stdouts."""
+    recs_old, recs_new = parse_records(old), parse_records(new)
+    if recs_old is None or recs_new is None or len(recs_old) != len(recs_new):
+        if old != new:
+            problems.append("stdout")
+        return 0.0, 0.0
+    top = ratio = 0.0
+    for i, (a, b) in enumerate(zip(recs_old, recs_new)):
+        err = error_estimate(a)
+        delta = diff_values(a, b, VALUE_FRACTION * err, f"stdout[{i}]", problems)
+        top = max(top, delta)
+        if delta:
+            ratio = max(ratio, delta / err if err > 0 else math.inf)
+    return top, ratio
+
+
+def load_expect(path: Path) -> list[dict]:
+    """The declared changes of an --expect file; ValueError if malformed."""
+    entries = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(entries, list):
+        raise ValueError("an --expect file holds a JSON list of entries")
+    for i, e in enumerate(entries):
+        fields = e.get("fields") if isinstance(e, dict) else None
+        if (not isinstance(fields, dict) or not fields or not isinstance(e.get("op"), str)
+                or not isinstance(e.get("reason"), str) or not e["reason"].strip()
+                or any(f not in FIELDS or not isinstance(v, dict) or set(v) != {"old", "new"}
+                       for f, v in fields.items())):
+            raise ValueError(f"entry {i}: need op, reason and fields "
+                             f"{{FIELD: {{old, new}}}} with FIELD in {FIELDS}")
+    return entries
+
+
+def _declared(want, got) -> bool:
+    return want == "*" or want == got
+
+
+def compare(old: list, new: list, values: bool = False, expect: list = (),
+            title: str = "") -> int:
+    """Print each failing operation and a total; return the number that fail."""
+    failed = differ = 0
+    used = [0] * len(expect)
+    top = ratio = 0.0
     if len(old) != len(new):
         print(f"DIFF op count: {len(old)} old, {len(new)} new")
-        differ += 1
-    for (label_old, f_old), (label_new, f_new) in zip(old, new):
-        if label_old != label_new:
-            print(f"DIFF op label: {label_old!r} old, {label_new!r} new")
-            differ += 1
+        failed += 1
+    for (label_old, f_old), (label, f_new) in zip(old, new):
+        if label_old != label:
+            print(f"DIFF op label: {label_old!r} old, {label!r} new")
+            failed += 1
             continue
-        keys = [k for k in sorted(set(f_old) | set(f_new)) if f_old.get(k) != f_new.get(k)]
-        if keys:
-            print(f"DIFF {label_new}: {', '.join(keys)}")
-            differ += 1
-    return differ
+        problems = []
+        declared = set()
+        for i, entry in enumerate(expect):
+            if not fnmatch.fnmatchcase(label, entry["op"]):
+                continue
+            used[i] += 1
+            for field, want in entry["fields"].items():
+                declared.add(field)
+                got = (f_old.get(field), f_new.get(field))
+                if not (_declared(want["old"], got[0]) and _declared(want["new"], got[1])):
+                    problems.append(f"declared {field} {want['old']!r} -> {want['new']!r}, "
+                                    f"got {got[0]!r} -> {got[1]!r}")
+        changed = [k for k in sorted(set(f_old) | set(f_new)) if f_old.get(k) != f_new.get(k)]
+        differ += bool(changed)
+        bits = [k for k in changed if k not in declared]
+        op_top = op_ratio = 0.0
+        for k in bits:
+            if values and k == "stdout" and "stdout" in f_old and "stdout" in f_new:
+                op_top, op_ratio = diff_stdout(f_old[k], f_new[k], problems)
+            else:
+                problems.append(k)
+        top, ratio = max(top, op_top), max(ratio, op_ratio)
+        if problems:
+            print(f"DIFF {label}: {'; '.join(problems)}")
+            failed += 1
+        elif op_top:
+            print(f"VALUES {label}: max |delta| {op_top:.3g}, "
+                  f"max |delta|/error_estimate {op_ratio:.3g}")
+    for entry, n in zip(expect, used):
+        if not n:
+            print(f"STALE expect entry {entry['op']!r}: matches no operation")
+            failed += 1
+    mode = (f"values: largest |delta| {top:.3g}, largest |delta|/error_estimate "
+            f"{ratio:.3g}" if values else "bytes")
+    print(f"{title}{len(new)} ops, {differ} differ, {failed} fail ({mode})")
+    return failed
 
 
 def main(argv=None) -> int:
@@ -167,6 +319,9 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="inclusive range FIRST:LAST")
     ap.add_argument("--cycles", type=int, default=1)
+    ap.add_argument("--values", action="store_true",
+                    help="compare parsed values within 1%% of each error_estimate")
+    ap.add_argument("--expect", type=Path, help="JSON list of declared changes")
     ap.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--out", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -178,6 +333,10 @@ def main(argv=None) -> int:
         ap.error("--cycles must be >= 1")
     if args.dump:
         return dump(args.old_root.resolve(), args.workload, seeds, args.cycles, args.out)
+    try:
+        expect = load_expect(args.expect) if args.expect else []
+    except (OSError, ValueError) as exc:
+        ap.error(f"--expect {args.expect}: {exc}")
     roots = [args.old_root.resolve(), args.new_root.resolve()]
     for root in roots:
         if not (root / "perfbench" / "ops.py").is_file() or not (root / "src" / "ebench").is_dir():
@@ -188,10 +347,8 @@ def main(argv=None) -> int:
             results.append(run_tree(root, args, Path(tmp) / f"{side}.json"))
             if results[-1] is None:
                 return 2
-    differ = compare(*results)
-    print(f"{args.workload} seeds {args.seeds} x {args.cycles} cycles: "
-          f"{len(results[1])} ops, {differ} differ")
-    return 1 if differ else 0
+    title = f"{args.workload} seeds {args.seeds} x {args.cycles} cycles: "
+    return 1 if compare(*results, values=args.values, expect=expect, title=title) else 0
 
 
 if __name__ == "__main__":
