@@ -44,6 +44,20 @@ def _row_blocks(n: int, width: int):
         start = stop
 
 
+def _flat_factors(left: np.ndarray, right: np.ndarray):
+    """Broadcast the two leading axes of left and right against each other and
+    merge them into one factor axis; a side of extent 1 stays a view."""
+    lead = np.broadcast_shapes(left.shape[:2], right.shape[:2])
+    return tuple(np.broadcast_to(f, lead + f.shape[2:]).reshape((-1,) + f.shape[2:])
+                 for f in (left, right))
+
+
+def _kraus_factors(stack: np.ndarray, mats: np.ndarray, weights: np.ndarray):
+    # F = K_m (sqrt(w_e) Psi_e): L = K_m, and R = sqrt(w_e) Psi_e^T is shared by every m
+    right = np.sqrt(weights)[:, None, None] * mats.transpose(0, 2, 1)
+    return _flat_factors(stack[:, None], right[None])
+
+
 class Channel:
     """Base class: a CP map on a `dim`-dimensional input, scaled by `scale`."""
 
@@ -100,6 +114,12 @@ class Channel:
             fids[i] = np.real(t.conj() @ out @ t)
         return traces, fids
 
+    def choi_factors(self, mats: np.ndarray, weights: np.ndarray):
+        """(left, right) with F_r = left[r] @ right[r].T and (E (x) I)(sum_e w_e
+        |Psi_e><Psi_e|) = sum_r vec(F_r) vec(F_r)^dag without the global scale;
+        mats (E, d_A, d_B) holds the Psi_e as matrices."""
+        raise TypeError(f"unsupported channel type {type(self).__name__}")
+
     def scaled(self, q: float) -> "Channel":
         raise NotImplementedError
 
@@ -149,6 +169,9 @@ class KrausChannel(Channel):
             amp = np.sum(tc * w, axis=1)
             fids += np.abs(amp) ** 2
         return traces * self.scale, fids * self.scale
+
+    def choi_factors(self, mats, weights):
+        return _kraus_factors(self.stack, mats, weights)
 
     def covariant_under(self, order):
         # K with all nonzeros on one diagonal j - i = c has K U = e^{ict} U K
@@ -215,6 +238,12 @@ class MeasurePrepareChannel(Channel):
             fids[a:b] = ((probs * np.abs(g) ** 2) @ self.weights) * self.scale
         return traces, fids
 
+    def choi_factors(self, mats, weights):
+        # F_{k,e} = sqrt(w_k) |p_k> (sqrt(w_e) <b_k|Psi_e>_A)^T, rank one (s = 1)
+        left = (np.sqrt(self.weights)[:, None] * self.prep)[:, None, :, None]
+        right = np.sqrt(weights)[:, None, None] * (self.measure.conj() @ mats)
+        return _flat_factors(left, right.transpose(1, 0, 2)[..., None])
+
     def povm_closure_defect(self) -> float:
         """Spectral-norm distance of sum_k w_k |b_k><b_k| from the identity."""
         m = (self.measure.T * self.weights) @ self.measure.conj()
@@ -259,6 +288,13 @@ class ChoiFormChannel(Channel):
         jt = self.choi.reshape(self.out_dim, self.input_dim,
                                self.out_dim, self.input_dim)
         return self.input_dim * np.einsum("ki,akbi->ab", rho, jt)
+
+    def choi_factors(self, mats, weights):
+        # Kraus operators sqrt(d lambda_i) V_i from the eigenpairs (lambda_i, vec V_i)
+        evals, evecs = np.linalg.eigh(self.choi)
+        keep = evals > 1e-15 * max(1.0, float(evals.max()))
+        kraus = (evecs[:, keep] * np.sqrt(self.input_dim * evals[keep])).T
+        return _kraus_factors(kraus.reshape(-1, self.out_dim, self.input_dim), mats, weights)
 
     @property
     def trace_preserving(self) -> bool:
@@ -445,13 +481,24 @@ def kraus_completeness(channel: Channel) -> CompletenessReport:
     return CompletenessReport(trace_preserving=defect <= TP_TOL, defect=defect)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiState:
-    """J = (E (x) I)(psi) together with its success probability P_s = tr J."""
+    """J = (E (x) I)(psi) = scale * sum_r vec(F_r) vec(F_r)^dag in factored form,
+    F_r = left[r] @ right[r].T with left (R, d_A, s) and right (R, d_B, s),
+    together with its success probability P_s = tr J."""
 
-    J: DensityOperator
+    left: np.ndarray
+    right: np.ndarray
+    scale: float
+    spaces: tuple
     P_s: float
     source: str
+
+    @functools.cached_property
+    def J(self) -> DensityOperator:
+        """The dense (d_A d_B)^2 matrix, built on first read."""
+        u = (self.left @ self.right.transpose(0, 2, 1)).reshape(self.left.shape[0], -1)
+        return DensityOperator((u.T @ u.conj()) * self.scale, self.spaces, check=False)
 
     def normalized(self) -> DensityOperator:
         return self.J.normalized()
@@ -481,36 +528,11 @@ def choi_state(channel: Channel, psi) -> ChoiState:
     da, db = spaces[0].dim, spaces[1].dim
     if channel.dim != da:
         raise ValueError(f"channel input dim {channel.dim} != reference A dim {da}")
-
-    if isinstance(channel, ChoiFormChannel):
-        rho = (vecs.T * weights) @ vecs.conj()
-        rt = rho.reshape(da, db, da, db)
-        jt = channel.choi.reshape(channel.out_dim, channel.input_dim,
-                                  channel.out_dim, channel.input_dim)
-        # (E (x) I)(rho): E(|m><n|)[a, c] = d * jt[a, m, c, n]
-        out = channel.input_dim * np.einsum("mbne,amcn->abce", rt, jt) * channel.scale
-        j = out.reshape(da * db, da * db)
-    else:
-        rows = []
-        for vec, w in zip(vecs, weights):
-            mat = vec.reshape(da, db)
-            if isinstance(channel, KrausChannel):
-                for k in channel.kraus:
-                    rows.append(math.sqrt(w) * (k @ mat).reshape(-1))
-            elif isinstance(channel, MeasurePrepareChannel):
-                m = channel.measure.conj() @ mat        # (K, db): <b_k|psi>_A
-                amp = np.sqrt(w * channel.weights)
-                # rows sqrt(w_k) kron(prep_k, m_k), batched over nodes
-                block = (channel.prep[:, :, None] * m[:, None, :]).reshape(m.shape[0], -1)
-                block *= amp[:, None]
-                rows.append(block)
-            else:
-                raise TypeError(f"unsupported channel type {type(channel).__name__}")
-        # one measure-and-prepare block is used as is; Kraus rows are 1-D
-        u = rows[0] if len(rows) == 1 and rows[0].ndim == 2 else np.vstack(rows)
-        j = (u.T @ u.conj()) * channel.scale
-    ps = float(np.trace(j).real)
-    return ChoiState(J=DensityOperator(j, spaces, check=False), P_s=ps,
+    left, right = channel.choi_factors(vecs.reshape(-1, da, db), weights)
+    # tr J = scale * sum_r sum((L_r^dag L_r) o (R_r^dag R_r))
+    gram = (left.conj().transpose(0, 2, 1) @ left) * (right.conj().transpose(0, 2, 1) @ right)
+    ps = channel.scale * float(np.sum(gram).real)
+    return ChoiState(left=left, right=right, scale=channel.scale, spaces=spaces, P_s=ps,
                      source=getattr(channel, "name", "channel"))
 
 

@@ -122,16 +122,20 @@ class TermsWitness:
             return out
         return sym
 
-    def assemble(self, b_space: FockSpace) -> np.ndarray:
-        """Explicit two-system matrix on A (x) B; checks Hermiticity."""
-        w = np.zeros((self.a_dim * b_space.dim,) * 2, dtype=complex)
-        for t in self.terms:
-            w += t.coeff * np.kron(np.asarray(t.a_matrix, dtype=complex),
-                                   normal_ordered_matrix(t.n, t.m, b_space))
-        defect = float(np.max(np.abs(w - w.conj().T)))
-        if defect > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
+    def operator_pairs(self, b_space: FockSpace) -> list[tuple[np.ndarray, np.ndarray]]:
+        """[(coeff_t A_t, (b^dag)^m b^n)] after checking that their Kronecker sum
+        W is Hermitian, one A row of W at a time (no (d_A d_B)^2 array)."""
+        pairs = [(t.coeff * np.asarray(t.a_matrix, dtype=complex),
+                  normal_ordered_matrix(t.n, t.m, b_space)) for t in self.terms]
+        defect = top = 0.0
+        for i in range(self.a_dim):
+            row = sum(np.multiply.outer(a[i], n) for a, n in pairs)
+            adj = sum(np.multiply.outer(a[:, i].conj(), n.conj().T) for a, n in pairs)
+            defect = max(defect, float(np.max(np.abs(row - adj))))
+            top = max(top, float(np.max(np.abs(row))))
+        if defect > 1e-10 * max(1.0, top):
             raise ValueError(f"assembled witness is not Hermitian (defect {defect:.3e})")
-        return w
+        return pairs
 
 
 class CoherentIntegralWitness:
@@ -517,38 +521,46 @@ def pairs_conversion(w: QuditPairsWitness, psi):
 # Choi-side oracle
 # ---------------------------------------------------------------------------
 
+def _factored_trace(cs: ChoiState, pairs) -> complex:
+    """tr[(sum_t A_t (x) N_t) J] = scale sum_{t,r} tr((L_r^dag A_t L_r)(R_r^T N_t^T conj R_r))."""
+    lh, rt = cs.left.conj().transpose(0, 2, 1), cs.right.transpose(0, 2, 1)
+    total = 0j
+    for a, n in pairs:
+        if a.shape[0] != cs.left.shape[1] or n.shape[0] != cs.right.shape[1]:
+            raise ValueError("witness and Choi dimensions do not match")
+        total += np.sum((lh @ a @ cs.left) * (rt @ n.T @ cs.right.conj()).transpose(0, 2, 1))
+    return cs.scale * complex(total)
+
+
 def choi_witness_expectation(w, cs: ChoiState, radial: int = 64,
                              angular: int = 64) -> float:
-    """tr[W J] / P_s evaluated directly on the Choi state.
+    """tr[W J] / P_s evaluated directly on the factors of the Choi state.
 
     For the coherent-integral form the integral is taken by quadrature over
-    the projector family; the polynomial forms are assembled exactly.
+    the projector family; the polynomial forms are summed exactly.
     """
-    j = cs.J.matrix
     if isinstance(w, QuditPairsWitness):
-        mat = w.assemble()
-        if mat.shape != j.shape:
-            raise ValueError("witness and Choi dimensions do not match")
-        val = complex(np.sum(mat.T * j))
+        val = _factored_trace(cs, w.pairs)
     elif isinstance(w, TermsWitness):
-        b_space = cs.J.spaces[1]
-        mat = w.assemble(b_space)
-        if mat.shape != j.shape:
-            raise ValueError("witness and Choi dimensions do not match")
-        val = complex(np.sum(mat.T * j))
+        val = _factored_trace(cs, w.operator_pairs(cs.spaces[1]))
     elif isinstance(w, CoherentIntegralWitness):
         grid = w.closure_grid(radial, angular)
-        a_rows = w.target_kets(grid.nodes)
-        b_rows, _ = coherent_kets(grid.nodes.conj(), w.b_space)
-        if a_rows.shape[1] * b_rows.shape[1] != j.shape[0]:
+        a_rows = w.target_kets(grid.nodes).conj()
+        b_rows = coherent_kets(grid.nodes.conj(), w.b_space)[0].conj()
+        (n_r, d_a, s), d_b = cs.left.shape, cs.right.shape[1]
+        if (a_rows.shape[1], b_rows.shape[1]) != (d_a, d_b):
             raise ValueError("witness and Choi dimensions do not match")
+        lmat = cs.left.transpose(1, 0, 2).reshape(d_a, n_r * s)
+        rmat = cs.right.transpose(1, 0, 2).reshape(d_b, n_r * s)
         kern = np.array([w.kernel(a) for a in grid.nodes])
         sand = np.empty(grid.size)
-        for lo, hi in _row_blocks(grid.size, j.shape[0]):
-            # rows of product kets a_k (x) b_k, one block at a time
-            u = (a_rows[lo:hi, :, None] * b_rows[lo:hi, None, :]).reshape(hi - lo, -1)
-            sand[lo:hi] = np.sum((u.conj() @ j) * u, axis=1).real
-        val = w.const * np.trace(j) - complex(np.sum(grid.bare_weights * kern * sand))
+        for lo, hi in _row_blocks(grid.size, n_r * s):
+            # <a_k (x) b_k|vec F_r> = sum_s (a_k^dag L_r)_s (b_k^dag R_r)_s, per block of nodes
+            x = (a_rows[lo:hi] @ lmat).reshape(hi - lo, n_r, s)
+            y = (b_rows[lo:hi] @ rmat).reshape(hi - lo, n_r, s)
+            amp = np.einsum("krs,krs->kr", x, y).view(float)
+            sand[lo:hi] = np.einsum("kr,kr->k", amp, amp)         # sum_r |amp_kr|^2
+        val = w.const * cs.P_s - cs.scale * complex(np.sum(grid.bare_weights * kern * sand))
     else:
         raise TypeError(f"unsupported witness type {type(w).__name__}")
     if cs.P_s < 1e-12:

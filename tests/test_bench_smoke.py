@@ -4,9 +4,10 @@ Cycle 0 of each workload in ``perfbench/ops.py`` is built from seed 1, as a
 benchmark run with ``--seed 1`` builds it, and every selected operation is
 checked against its closed form by the check ``ops.py`` attaches to it.
 ``dv-schmidt`` runs in full, ``cv-fidelity`` its cutoff <= 20 operations on
-the 32^2 grid, and ``choi-oracle`` its cutoff 12 operations.  Nothing is
-timed.  An operation marked as a known defect may fail its check; any other
-failure fails the test.
+the 32^2 grid, and ``choi-oracle`` its cutoff 12 operations and its fidelity
+operations at cutoff 20 on the 32^2 grid.  Nothing is timed.  An operation
+marked as a known defect may fail its check; any other failure fails the
+test.
 """
 
 import importlib.util
@@ -35,7 +36,8 @@ ops = load_ops()
 SMALL = {
     "dv-schmidt": lambda op: True,
     "cv-fidelity": lambda op: op.cutoff <= 20 and op.grid == 32,
-    "choi-oracle": lambda op: op.cutoff == 12,
+    "choi-oracle": lambda op: op.cutoff == 12 or (
+        op.cutoff == 20 and op.grid == 32 and op.label.startswith("oracle fidelity")),
 }
 
 

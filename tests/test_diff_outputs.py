@@ -163,3 +163,57 @@ def test_load_expect_rejects_malformed_entries(tmp_path):
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError):
             DO.load_expect(path)
+
+
+def report(choi=-0.2450018175281229, gap=7.2e-15, tolerance=1e-4, ensemble=-0.24500181752813008):
+    """A ConsistencyReport as op_fields records a library operation's value."""
+    return {"type": "ConsistencyReport", "ensemble_value": float.hex(ensemble),
+            "choi_value": float.hex(choi), "gap": float.hex(gap),
+            "tolerance": float.hex(tolerance)}
+
+
+PARAMS = {"type": "GaussianBenchParams", "xi": float.hex(0.57735026918962573)}
+
+
+def library(*values, label="oracle fidelity loss:0.7 c20 g64"):
+    return records(*({"value": v} for v in values), label=label)
+
+
+def test_report_move_of_1e_16_passes_values_and_fails_bytes(capsys):
+    old = library([PARAMS, report()])
+    new = library([PARAMS, report(choi=-0.2450018175281229 + 1e-16, gap=7.3e-15)])
+    failed, out = run(old, new, capsys)
+    assert failed == 1 and "DIFF" in out and "value" in out
+    failed, out = run(old, new, capsys, values=True)
+    assert failed == 0 and "1 ops, 1 differ, 0 fail" in out
+    assert "VALUES" in out and "max |delta| 1.11e-16, max |delta|/tolerance 1.11e-12" in out
+    assert "largest |delta|/tolerance 1.11e-12" in out
+
+
+def test_report_move_beyond_the_fraction_of_tolerance_fails(capsys):
+    old = library(report(tolerance=1e-4))
+    ok = library(report(choi=-0.2450018175281229 + 0.9e-6, tolerance=1e-4))
+    bad = library(report(choi=-0.2450018175281229 + 1.1e-6, tolerance=1e-4))
+    assert run(old, ok, capsys, values=True)[0] == 0
+    failed, out = run(old, bad, capsys, values=True)
+    assert failed == 1 and "value.choi_value" in out
+
+
+def test_report_tolerance_keys_and_verdict_must_not_change(capsys):
+    old = library(report(gap=0.9999e-4, tolerance=1e-4))
+    tol = library(report(gap=0.9999e-4, tolerance=2e-4))
+    keys = library({**report(gap=0.9999e-4, tolerance=1e-4), "passed": True})
+    flip = library(report(gap=1.0001e-4, tolerance=1e-4))
+    for new in (tol, keys):
+        failed, out = run(old, new, capsys, values=True)
+        assert failed == 1 and "DIFF" in out
+    failed, out = run(old, flip, capsys, values=True)
+    assert failed == 1 and "value.passed True -> False" in out
+
+
+def test_last_bit_move_outside_a_report_fails_values(capsys):
+    xi = float.hex(math.nextafter(0.57735026918962573, 1.0))
+    old = library([PARAMS, report()])
+    new = library([{**PARAMS, "xi": xi}, report()])
+    failed, out = run(old, new, capsys, values=True)
+    assert failed == 1 and "value[0].xi" in out

@@ -1,7 +1,7 @@
 """Row-block evaluation of measure-and-prepare transfers and the Choi oracle's
-coherent-integral sandwich: the blocks cover every row once, every row gets the
-bits of the unblocked formulas (written out here as references), and the
-temporaries stay bounded."""
+coherent-integral sandwich on the factored Choi state: the blocks cover every
+row once, every row gets the bits of the unblocked formulas (written out here
+as references), and the temporaries stay bounded."""
 
 import tracemalloc
 
@@ -11,7 +11,7 @@ import pytest
 from ebench import channels
 from ebench.channels import ChoiState, MeasurePrepareChannel, _row_blocks, heterodyne_mp
 from ebench.cv import fidelity_witness
-from ebench.fock import DensityOperator, FockSpace, coherent_kets
+from ebench.fock import FockSpace, coherent_kets
 from ebench.quadrature import QuadratureGrid
 from ebench.witness import choi_witness_expectation
 
@@ -44,11 +44,15 @@ def unblocked_transfer(ch, input_kets, target_kets):
     return traces, fids
 
 
-def unblocked_sandwich(w, j, grid):
-    a_rows = w.target_kets(grid.nodes)
-    b_rows, _ = coherent_kets(grid.nodes.conj(), w.b_space)
-    u = (a_rows[:, :, None] * b_rows[:, None, :]).reshape(grid.size, -1)
-    return np.sum((u.conj() @ j) * u, axis=1).real
+def unblocked_sandwich(w, cs, grid):
+    """sum_r |<a_k (x) b_k|vec F_r>|^2 for every node k at once, without the scale."""
+    a_conj = w.target_kets(grid.nodes).conj()
+    b_conj = coherent_kets(grid.nodes.conj(), w.b_space)[0].conj()
+    n_r, d_a, s = cs.left.shape
+    x = a_conj @ cs.left.transpose(1, 0, 2).reshape(d_a, n_r * s)     # (a_k^dag L_r)_s
+    y = b_conj @ cs.right.transpose(1, 0, 2).reshape(-1, n_r * s)    # (b_k^dag R_r)_s
+    amp = np.einsum("krs,krs->kr", x.reshape(grid.size, n_r, s), y.reshape(grid.size, n_r, s))
+    return np.einsum("kr,kr->k", amp.view(float), amp.view(float))    # sum_r |amp_kr|^2
 
 
 class TestHelper:
@@ -99,44 +103,53 @@ class TestTransferBits:
 
 
 class TestOracleSandwichBits:
-    def setup_witness(self, rng):
+    # (R, s) factor shapes of the width-16 rows: rank-one factors as a
+    # measure-and-prepare channel gives, and square ones as a Kraus channel gives
+    SHAPES = [(16, 1), (4, 4)]
+
+    def setup_witness(self, rng, shape, scale=1.0, p_s=None):
         space_a, space_b = FockSpace(3, "A"), FockSpace(3, "B")
         w = fidelity_witness(0.1, 0.6, 0.4, space_a, space_b)
-        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        j = g @ g.conj().T
-        return w, j, (space_a, space_b)
+        n_r, s = shape
+        left, right = (rng.standard_normal((n_r, 4, s)) + 1j * rng.standard_normal((n_r, 4, s))
+                       for _ in range(2))
+        gram = (left.conj().transpose(0, 2, 1) @ left) * (right.conj().transpose(0, 2, 1) @ right)
+        p_s = scale * float(np.sum(gram).real) if p_s is None else p_s
+        cs = ChoiState(left=left, right=right, scale=scale, spaces=(space_a, space_b),
+                       P_s=p_s, source="test")
+        return w, cs
 
     @pytest.mark.parametrize("rows", [8, 16])
     def test_every_row_matches_the_unblocked_formula(self, monkeypatch, rng, rows):
-        # const 0, kernel 1, P_s 1 and a one-hot weight make the oracle return
-        # exactly minus the sandwich of the weighted row
-        w, j, spaces = self.setup_witness(rng)
-        cs = ChoiState(J=DensityOperator(j, spaces, check=False), P_s=1.0, source="test")
-        w.const, w.kernel = 0.0, (lambda a: 1.0)
+        # const 0, kernel 1, scale 1, P_s 1 and a one-hot weight make the oracle
+        # return exactly minus the sandwich of the weighted row
         monkeypatch.setattr(channels, "_BLOCK_ELEMS", rows * 16)
-        for n in SIZES[1:]:
-            nodes = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            want = unblocked_sandwich(w, j, self.grid(nodes, np.ones(n)))
-            for i in range(n):
-                grid = self.grid(nodes, np.eye(n)[i])
-                w.closure_grid = lambda radial, angular: grid
-                assert_same_bits(-choi_witness_expectation(w, cs), want[i])
+        for shape in self.SHAPES:
+            w, cs = self.setup_witness(rng, shape, p_s=1.0)
+            w.const, w.kernel = 0.0, (lambda a: 1.0)
+            for n in SIZES[1:]:
+                nodes = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                want = unblocked_sandwich(w, cs, self.grid(nodes, np.ones(n)))
+                for i in range(n):
+                    grid = self.grid(nodes, np.eye(n)[i])
+                    w.closure_grid = lambda radial, angular: grid
+                    assert_same_bits(-choi_witness_expectation(w, cs), want[i])
 
     def test_full_expectation_matches_on_a_64_squared_grid(self, monkeypatch, rng):
-        w, j, spaces = self.setup_witness(rng)
-        cs = ChoiState(J=DensityOperator(j, spaces, check=False),
-                       P_s=float(np.trace(j).real), source="test")
-        grid = w.closure_grid(64, 64)
-        kern = np.array([w.kernel(a) for a in grid.nodes])
-        sand = unblocked_sandwich(w, j, grid)
-        val = w.const * np.trace(j) - complex(np.sum(grid.bare_weights * kern * sand))
         monkeypatch.setattr(channels, "_BLOCK_ELEMS", 24 * 16)
-        assert_same_bits(choi_witness_expectation(w, cs), float((val / cs.P_s).real))
+        for shape in self.SHAPES:
+            w, cs = self.setup_witness(rng, shape, scale=0.7)
+            grid = w.closure_grid(64, 64)
+            kern = np.array([w.kernel(a) for a in grid.nodes])
+            sand = unblocked_sandwich(w, cs, grid)
+            val = w.const * cs.P_s - cs.scale * complex(np.sum(grid.bare_weights * kern * sand))
+            assert_same_bits(choi_witness_expectation(w, cs), float((val / cs.P_s).real))
 
     def test_dimension_mismatch_still_raises(self, rng):
-        w, _, _ = self.setup_witness(rng)
+        w, _ = self.setup_witness(rng, (4, 4))
         spaces = (FockSpace(2, "A"), FockSpace(2, "B"))
-        cs = ChoiState(J=DensityOperator(np.eye(9), spaces, check=False), P_s=9.0,
+        factor = np.eye(3)[None]
+        cs = ChoiState(left=factor, right=factor, scale=1.0, spaces=spaces, P_s=3.0,
                        source="test")
         with pytest.raises(ValueError, match="witness and Choi dimensions do not match"):
             choi_witness_expectation(w, cs, radial=4, angular=4)

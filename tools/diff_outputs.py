@@ -26,9 +26,12 @@ use is that of one benchmark worker.
 record, a JSON list of sweep records or CSV rows; exit codes, key sets,
 strings (verdicts included), ints and stderr must match exactly, and each float
 may move by at most ``VALUE_FRACTION`` of its record's old ``error_estimate``.
-A record without one, unparsable stdout and library values must match
-exactly.  Per operation the tool prints the largest |delta| and the largest
-|delta| / ``error_estimate``.
+A record without one and unparsable stdout must match exactly.  In a library
+value, each float of a ``ConsistencyReport`` may move by at most
+``VALUE_FRACTION`` of the report's old ``tolerance``; its keys, its
+``tolerance`` and whether it passes must not change, and every other library
+value must match exactly.  Per operation the tool prints the largest |delta|
+and the largest |delta| / ``error_estimate`` (or / ``tolerance``).
 
 ``--expect FILE`` declares intended changes, in either mode.  FILE holds a JSON
 list of entries ``{"op": PATTERN, "fields": {FIELD: {"old": V, "new": V}},
@@ -59,7 +62,8 @@ from pathlib import Path
 import numpy as np
 
 WALL_TIME = re.compile(r'("wall_time_s": )[^,\n}]+')
-# a float may move by this fraction of its record's old error_estimate (--values)
+# a float may move by this fraction of its record's old error_estimate, or of
+# its ConsistencyReport's old tolerance (--values)
 VALUE_FRACTION = 0.01
 FIELDS = ("exit", "stdout", "stderr", "value", "raised")
 
@@ -240,6 +244,32 @@ def diff_stdout(old: str, new: str, problems: list) -> tuple[float, float]:
     return top, ratio
 
 
+def diff_library(old, new, problems: list, path: str = "value") -> tuple[float, float]:
+    """(largest |delta|, largest |delta| / tolerance) over the ConsistencyReports
+    in two canonical library values; anything else must match exactly."""
+    report = "ConsistencyReport"
+    if isinstance(old, dict) and isinstance(new, dict) and old.get("type") == report:
+        if new.get("type") != report or set(old) != set(new) or old["tolerance"] != new["tolerance"]:
+            problems.append(f"{path} {old!r} -> {new!r}")
+            return 0.0, 0.0
+        a, b = ({k: float.fromhex(v) for k, v in rec.items() if k != "type"} for rec in (old, new))
+        tol = a["tolerance"]
+        if (a["gap"] <= tol) != (b["gap"] <= tol):
+            problems.append(f"{path}.passed {a['gap'] <= tol} -> {b['gap'] <= tol}")
+        delta = diff_values(a, b, VALUE_FRACTION * tol, path, problems)
+        return delta, (delta / tol if tol > 0 else math.inf) if delta else 0.0
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        items = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(old, new))]
+    elif isinstance(old, dict) and isinstance(new, dict) and set(old) == set(new):
+        items = [(f"{path}.{k}", old[k], new[k]) for k in sorted(old)]
+    else:
+        if old != new:
+            problems.append(f"{path} {old!r} -> {new!r}")
+        return 0.0, 0.0
+    found = [diff_library(x, y, problems, where) for where, x, y in items]
+    return max((d for d, _ in found), default=0.0), max((r for _, r in found), default=0.0)
+
+
 def load_expect(path: Path) -> list[dict]:
     """The declared changes of an --expect file; ValueError if malformed."""
     entries = json.loads(path.read_text(encoding="utf-8"))
@@ -265,7 +295,8 @@ def compare(old: list, new: list, values: bool = False, expect: list = (),
     """Print each failing operation and a total; return the number that fail."""
     failed = differ = 0
     used = [0] * len(expect)
-    top = ratio = 0.0
+    top = 0.0
+    ratios = {"error_estimate": 0.0, "tolerance": 0.0}
     if len(old) != len(new):
         print(f"DIFF op count: {len(old)} old, {len(new)} new")
         failed += 1
@@ -290,24 +321,29 @@ def compare(old: list, new: list, values: bool = False, expect: list = (),
         differ += bool(changed)
         bits = [k for k in changed if k not in declared]
         op_top = op_ratio = 0.0
+        scale = "error_estimate"
         for k in bits:
             if values and k == "stdout" and "stdout" in f_old and "stdout" in f_new:
                 op_top, op_ratio = diff_stdout(f_old[k], f_new[k], problems)
+            elif values and k == "value" and "value" in f_old and "value" in f_new:
+                op_top, op_ratio = diff_library(f_old[k], f_new[k], problems)
+                scale = "tolerance"
             else:
                 problems.append(k)
-        top, ratio = max(top, op_top), max(ratio, op_ratio)
+        top = max(top, op_top)
+        ratios[scale] = max(ratios[scale], op_ratio)
         if problems:
             print(f"DIFF {label}: {'; '.join(problems)}")
             failed += 1
         elif op_top:
             print(f"VALUES {label}: max |delta| {op_top:.3g}, "
-                  f"max |delta|/error_estimate {op_ratio:.3g}")
+                  f"max |delta|/{scale} {op_ratio:.3g}")
     for entry, n in zip(expect, used):
         if not n:
             print(f"STALE expect entry {entry['op']!r}: matches no operation")
             failed += 1
-    mode = (f"values: largest |delta| {top:.3g}, largest |delta|/error_estimate "
-            f"{ratio:.3g}" if values else "bytes")
+    mode = ("values: " + ", ".join([f"largest |delta| {top:.3g}"] + [
+        f"largest |delta|/{k} {v:.3g}" for k, v in ratios.items()]) if values else "bytes")
     print(f"{title}{len(new)} ops, {differ} differ, {failed} fail ({mode})")
     return failed
 
@@ -320,7 +356,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="inclusive range FIRST:LAST")
     ap.add_argument("--cycles", type=int, default=1)
     ap.add_argument("--values", action="store_true",
-                    help="compare parsed values within 1%% of each error_estimate")
+                    help="compare parsed values within 1%% of each error_estimate "
+                         "(or ConsistencyReport tolerance)")
     ap.add_argument("--expect", type=Path, help="JSON list of declared changes")
     ap.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--out", type=Path, help=argparse.SUPPRESS)
